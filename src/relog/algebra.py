@@ -8,8 +8,9 @@ and every operation in this package is a pure function over them.
 
 from __future__ import annotations
 
+import math
 import os
-from itertools import product
+from itertools import product as product_of
 
 from .errors import (
     ArityError,
@@ -53,7 +54,7 @@ class FiniteAlgebra:
             tuple(self.meet[x][y] == x for y in range(n)) for x in range(n)
         )
         self._designated = None
-        self._hash = hash((self.elements, self.meet, self.join, self.fusion, self.neg))
+        self._hash = hash(self.table_key())
 
     @property
     def size(self):
@@ -138,7 +139,7 @@ def _check1(pred):
 
 def _check2(pred):
     def run(a):
-        for x, y in product(range(a.size), repeat=2):
+        for x, y in product_of(range(a.size), repeat=2):
             if not pred(a, x, y):
                 return {"x": a.elements[x], "y": a.elements[y]}
         return None
@@ -147,7 +148,7 @@ def _check2(pred):
 
 def _check3(pred):
     def run(a):
-        for x, y, z in product(range(a.size), repeat=3):
+        for x, y, z in product_of(range(a.size), repeat=3):
             if not pred(a, x, y, z):
                 return {"x": a.elements[x], "y": a.elements[y], "z": a.elements[z]}
         return None
@@ -425,28 +426,41 @@ def builtin(name):
 # Constructions
 # ---------------------------------------------------------------------------
 
+def product(algebras):
+    """Direct product with componentwise tables; element names join coordinates
+    with '.', in lexicographic order of the coordinate tuples."""
+    return _direct_product(" x ".join(a.name for a in algebras), algebras,
+                           DEFAULT_ELEMENT_CAP)
+
+
 def power(algebra, k, cap=DEFAULT_ELEMENT_CAP):
-    """Direct power with componentwise tables; element names join coordinates with '.'."""
+    """The direct power algebra^k, named `<name>^k`."""
     if k < 1:
         raise ValueError("power exponent must be >= 1")
-    n = algebra.size
-    if n ** k > cap:
-        raise SizeCapExceeded(f"{algebra.name}^{k} would have {n}**{k} elements (cap {cap})")
-    coords = list(product(range(n), repeat=k))
-    names = [".".join(algebra.elements[c] for c in tup) for tup in coords]
+    return _direct_product(f"{algebra.name}^{k}", [algebra] * k, cap)
+
+
+def _direct_product(name, factors, cap):
+    if not factors:
+        raise ValueError("a direct product needs at least one factor")
+    size = math.prod(a.size for a in factors)
+    if size > cap:
+        raise SizeCapExceeded(f"{name} would have {size} elements (cap {cap})")
+    coords = list(product_of(*(range(a.size) for a in factors)))
+    names = [".".join(a.elements[c] for a, c in zip(factors, tup)) for tup in coords]
     pos = {tup: i for i, tup in enumerate(coords)}
 
-    def lift2(table):
+    def lift2(tables):
         return [
-            [pos[tuple(table[x[d]][y[d]] for d in range(k))] for y in coords]
+            [pos[tuple(t[u][v] for t, u, v in zip(tables, x, y))] for y in coords]
             for x in coords
         ]
 
-    meet = lift2(algebra.meet)
-    join = lift2(algebra.join)
-    fusion = lift2(algebra.fusion)
-    neg = [pos[tuple(algebra.neg[x[d]] for d in range(k))] for x in coords]
-    return FiniteAlgebra(f"{algebra.name}^{k}", names, meet, join, fusion, neg)
+    meet = lift2([a.meet for a in factors])
+    join = lift2([a.join for a in factors])
+    fusion = lift2([a.fusion for a in factors])
+    neg = [pos[tuple(a.neg[u] for a, u in zip(factors, x))] for x in coords]
+    return FiniteAlgebra(name, names, meet, join, fusion, neg)
 
 
 def _partition_blocks(algebra, partition):

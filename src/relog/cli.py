@@ -20,23 +20,18 @@ from .algebra import (
     load_algebra_file,
     validate_relevant_algebra,
 )
-from .errors import (
-    CapExceeded,
-    InterpolantNotFound,
-    NoSharedVariables,
-    NotEntailed,
-    RelogError,
-    UsageError,
-)
+from .errors import InterpolantNotFound, RelogError, UsageError
 from .interp import (
     DEFAULT_COORDINATE_CAP,
     DEFAULT_FREE_ELEMENT_CAP,
     FreeAlgebra,
     maehara_interpolant,
+    vsp_scan,
 )
-from .logic import parse_formula, parse_premises, entails, vsp_scan
+from .logic import parse_formula, parse_premises, entails
 from .morph import (
     Span,
+    all_spans,
     amalgamate_span,
     automorphisms,
     embeddings,
@@ -66,21 +61,18 @@ def _resolve_algebra(spec_text):
     )
 
 
-def _emit(report, fmt, out=None):
-    out = out or sys.stdout
+def _emit(report, lines, fmt, out):
     if fmt == "json":
         json.dump(report, out, indent=2)
         out.write("\n")
         return
-    lines = report.get("text_lines", [])
     for line in lines:
         out.write(line + "\n")
-    verdict = report.get("verdict")
-    if verdict and not lines:
-        out.write(verdict + "\n")
 
 
-def _report(command, verdict, exit_code, data=None, items=None, text_lines=None):
+def _report(command, verdict, exit_code, data=None, items=None):
+    """The envelope of docs/report-schema.json.  Each command returns it
+    together with the lines of its text report."""
     report = {
         "command": command,
         "verdict": verdict,
@@ -89,9 +81,6 @@ def _report(command, verdict, exit_code, data=None, items=None, text_lines=None)
     }
     if items is not None:
         report["items"] = items
-    report["text_lines"] = text_lines if text_lines is not None else [
-        f"{command}: {verdict}"
-    ]
     return report
 
 
@@ -116,8 +105,7 @@ def _cmd_validate(args):
             "size": algebra.size,
             "reports": [r.to_dict() for r in reports],
         },
-        text_lines=lines,
-    )
+    ), lines
 
 
 def _cmd_subalgebras(args):
@@ -131,8 +119,7 @@ def _cmd_subalgebras(args):
     return _report(
         "subalgebras", "ok", 0,
         data={"algebra": algebra.name, "universes": universes},
-        text_lines=lines,
-    )
+    ), lines
 
 
 def _cmd_congruences(args):
@@ -144,8 +131,7 @@ def _cmd_congruences(args):
     return _report(
         "congruences", "ok", 0,
         data={"algebra": algebra.name, "congruences": blocks},
-        text_lines=lines,
-    )
+    ), lines
 
 
 def _cmd_check(args):
@@ -176,10 +162,9 @@ def _cmd_check(args):
     else:
         raise UsageError(f"unknown property {prop!r}")
     verdict = "holds" if holds else "fails"
-    return _report(
-        "check", verdict, 0 if holds else 1, data=data,
-        text_lines=[f"{prop} on {algebra.name}: {verdict}{detail}"],
-    )
+    return _report("check", verdict, 0 if holds else 1, data=data), [
+        f"{prop} on {algebra.name}: {verdict}{detail}"
+    ]
 
 
 def _cmd_homs(args):
@@ -202,8 +187,7 @@ def _cmd_homs(args):
             "kind": args.kind,
             "morphisms": [m.to_pairs() for m in morphisms],
         },
-        text_lines=lines,
-    )
+    ), lines
 
 
 def _cmd_autos(args):
@@ -215,20 +199,21 @@ def _cmd_autos(args):
         "autos", "ok", 0,
         data={"algebra": algebra.name,
               "automorphisms": [m.to_pairs() for m in autos]},
-        text_lines=lines,
-    )
+    ), lines
 
 
 def _parse_members(algebra, text):
     return tuple(sorted(algebra.el(name.strip()) for name in text.split(",")))
 
 
-def _parse_pin(algebra, sub, text):
+def _parse_pin(text):
     """Pins like 'a:b,t:t' mapping sub elements to ambient-subalgebra elements."""
     pins = {}
     if not text:
         return pins
     for part in text.split(","):
+        if part.count(":") != 1:
+            raise UsageError(f"pin {part.strip()!r} is not of the form element:element")
         left, right = part.split(":")
         pins[left.strip()] = right.strip()
     return pins
@@ -251,36 +236,27 @@ def _cmd_amalgamate(args):
     from .algebra import subalgebra as make_sub
 
     if args.all_spans:
-        nontrivial = [s for s in all_subuniverses(generator) if len(s) >= 2]
-        algebras = {s: make_sub(generator, s) for s in nontrivial}
         spans = failures = 0
-        for apex_members in nontrivial:
-            apex = algebras[apex_members]
-            for lm in nontrivial:
-                for rm in nontrivial:
-                    for left in embeddings(apex, algebras[lm]):
-                        for right in embeddings(apex, algebras[rm]):
-                            spans += 1
-                            result = amalgamate_span(
-                                Span(left, right), mode=args.mode,
-                                generator=generator, power_bound=args.bound,
-                            )
-                            if not result.found:
-                                failures += 1
+        for span in all_spans(generator):
+            spans += 1
+            result = amalgamate_span(
+                span, mode=args.mode, generator=generator, power_bound=args.bound,
+            )
+            if not result.found:
+                failures += 1
         verdict = "found" if failures == 0 else "not-found"
         return _report(
             "amalgamate", verdict, 0 if failures == 0 else 1,
             data={"spans": spans, "failures": failures},
-            text_lines=[f"{spans} spans, {failures} without amalgam"],
-        )
+        ), [f"{spans} spans, {failures} without amalgam"]
 
     if not (args.apex and args.left and args.right):
         raise UsageError("amalgamate needs --apex, --left and --right (or --all-spans)")
     apex = make_sub(generator, _parse_members(generator, args.apex))
     left_alg = make_sub(generator, _parse_members(generator, args.left))
     right_alg = make_sub(generator, _parse_members(generator, args.right))
-    left = _pick_embedding(apex, left_alg, _parse_pin(generator, apex, args.map_left))
-    right = _pick_embedding(apex, right_alg, _parse_pin(generator, apex, args.map_right))
+    left = _pick_embedding(apex, left_alg, _parse_pin(args.map_left))
+    right = _pick_embedding(apex, right_alg, _parse_pin(args.map_right))
     if not is_simple(generator) or not check_cep_class(hs_class(generator))[0]:
         print(
             "warning: the generator is not a finite simple algebra with the "
@@ -305,12 +281,11 @@ def _cmd_amalgamate(args):
             lines.append(
                 f"  {row['apex']} -> {row['via_left']} = {row['via_right']}"
             )
-        return _report("amalgamate", "found", 0, data=data, text_lines=lines)
+        return _report("amalgamate", "found", 0, data=data), lines
     return _report(
         "amalgamate", "not-found", 1,
         data={"targets_tried": result.targets_tried, "bound": args.bound},
-        text_lines=[f"no amalgam within power bound {args.bound}"],
-    )
+    ), [f"no amalgam within power bound {args.bound}"]
 
 
 def _cmd_entails(args):
@@ -324,8 +299,7 @@ def _cmd_entails(args):
             "entails", "holds", 0,
             data={"premises": [str(p) for p in premises],
                   "conclusion": str(conclusion)},
-            text_lines=["holds"],
-        )
+        ), ["holds"]
     cm = verdict.countermodel
     return _report(
         "entails", "fails", 1,
@@ -334,20 +308,37 @@ def _cmd_entails(args):
             "conclusion": str(conclusion),
             "countermodel": {"algebra": cm.algebra.name, "valuation": cm.named()},
         },
-        text_lines=[f"fails: countermodel in {cm.algebra.name}: " + ", ".join(
-            f"{v}={e}" for v, e in sorted(cm.named().items())
-        )],
-    )
+    ), [f"fails: countermodel in {cm.algebra.name}: " + ", ".join(
+        f"{v}={e}" for v, e in sorted(cm.named().items())
+    )]
+
+
+def _load_problem(path):
+    """Parse a JSON problem file {"sigma": [...], "gamma": [...], "alpha": "..."},
+    where sigma and gamma are optional lists of formulas."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            problem = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read problem file {path!r}: {exc}") from None
+
+    def formulas(key):
+        value = problem.get(key, [])
+        return isinstance(value, list) and all(isinstance(f, str) for f in value)
+
+    if not (isinstance(problem, dict) and isinstance(problem.get("alpha"), str)
+            and formulas("sigma") and formulas("gamma")):
+        raise UsageError(f"problem file {path!r} needs an \"alpha\" formula and "
+                         "optional \"sigma\" and \"gamma\" lists of formulas")
+    return ([parse_formula(f) for f in problem.get("sigma", [])],
+            [parse_formula(f) for f in problem.get("gamma", [])],
+            parse_formula(problem["alpha"]))
 
 
 def _cmd_interpolate(args):
     algebra = _resolve_algebra(args.algebra)
     if args.problem:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            problem = json.load(fh)
-        sigma = [parse_formula(s) for s in problem.get("sigma", [])]
-        gamma = [parse_formula(s) for s in problem.get("gamma", [])]
-        alpha = parse_formula(problem["alpha"])
+        sigma, gamma, alpha = _load_problem(args.problem)
     else:
         if not args.gamma or not args.alpha:
             raise UsageError("interpolate needs --gamma and --alpha (or --problem)")
@@ -368,13 +359,12 @@ def _cmd_interpolate(args):
             "sigma_delta_entail_alpha": result.alpha_verdict.holds,
         },
     }
-    return _report(
-        "interpolate", "found", 0, data=data,
-        text_lines=[f"delta = {result.delta}",
-                    f"  over shared variables {{{', '.join(result.shared)}}}",
-                    "  gamma |- delta: holds",
-                    "  sigma, delta |- alpha: holds"],
-    )
+    return _report("interpolate", "found", 0, data=data), [
+        f"delta = {result.delta}",
+        f"  over shared variables {{{', '.join(result.shared)}}}",
+        "  gamma |- delta: holds",
+        "  sigma, delta |- alpha: holds",
+    ]
 
 
 def _cmd_vsp_scan(args):
@@ -389,13 +379,12 @@ def _cmd_vsp_scan(args):
         ],
     }
     if not violations:
-        return _report(
-            "vsp-scan", "holds", 0, data=data,
-            text_lines=[f"no violations up to size {args.bound}"],
-        )
+        return _report("vsp-scan", "holds", 0, data=data), [
+            f"no violations up to size {args.bound}"
+        ]
     lines = [f"{len(violations)} violations:"]
     lines += [f"  {v.antecedent} -> {v.consequent}" for v in violations]
-    return _report("vsp-scan", "fails", 1, data=data, text_lines=lines)
+    return _report("vsp-scan", "fails", 1, data=data), lines
 
 
 def _cmd_free_algebra(args):
@@ -419,7 +408,7 @@ def _cmd_free_algebra(args):
     lines = [f"free algebra over {algebra.name} on {args.generators} "
              f"generator(s): {fa.element_count} elements"]
     lines += [f"  {s}" for s in sample]
-    return _report("free-algebra", "ok", 0, data=data, text_lines=lines)
+    return _report("free-algebra", "ok", 0, data=data), lines
 
 
 def _cmd_reproduce(args):
@@ -441,8 +430,7 @@ def _cmd_reproduce(args):
         0 if not failed else 1,
         data={"seed": args.seed, "instances": args.instances},
         items=[i.to_dict() for i in items],
-        text_lines=lines,
-    )
+    ), lines
 
 
 # ---------------------------------------------------------------------------
@@ -549,31 +537,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    fmt = args.format
+    out = sys.stdout
     try:
-        report = _COMMANDS[args.command](args)
-    except (NoSharedVariables, NotEntailed, UsageError, CapExceeded) as exc:
-        _emit(_report(args.command, "error", 2,
-                      data={"error": type(exc).__name__, "message": str(exc)},
-                      text_lines=[f"error: {exc}"]), fmt, sys.stderr)
-        return 2
+        report, lines = _COMMANDS[args.command](args)
     except InterpolantNotFound as exc:
-        _emit(_report(args.command, "not-found", 1,
-                      data={"error": type(exc).__name__, "message": str(exc),
-                            "scanned": exc.scanned},
-                      text_lines=[f"not found: {exc}"]), fmt)
-        return 1
+        report = _report(args.command, "not-found", 1,
+                         data={"error": type(exc).__name__, "message": str(exc),
+                               "scanned": exc.scanned})
+        lines = [f"not found: {exc}"]
     except RelogError as exc:
-        _emit(_report(args.command, "error", 2,
-                      data={"error": type(exc).__name__, "message": str(exc)},
-                      text_lines=[f"error: {exc}"]), fmt, sys.stderr)
-        return 2
-    payload = dict(report)
-    text_lines = payload.pop("text_lines", [])
-    if fmt == "json":
-        _emit(payload, "json")
-    else:
-        _emit({"text_lines": text_lines, "verdict": report["verdict"]}, "text")
+        report = _report(args.command, "error", 2,
+                         data={"error": type(exc).__name__, "message": str(exc)})
+        lines = [f"error: {exc}"]
+        out = sys.stderr
+    _emit(report, lines, args.format, out)
     return report["exit_code"]
 
 

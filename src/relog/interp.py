@@ -1,4 +1,5 @@
-"""Free algebras over a finite generator and Maehara interpolant synthesis.
+"""Free algebras over a finite generator, Maehara interpolant synthesis and
+bounded VSP scanning.
 
 The finite free algebra on k generators lives inside the direct power A^(n^k):
 an element is the vector of its values under every valuation of the generators.
@@ -10,14 +11,34 @@ search in discovery order returns minimal-size interpolants.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, InterpolantNotFound, NoSharedVariables, NotEntailed
-from .logic import And, EntailmentVerdict, Fuse, Not, Or, Var, entails, evaluate
+from .algebra import arrow, product as direct_product
+from .errors import (
+    CapExceeded,
+    InterpolantNotFound,
+    NoSharedVariables,
+    NotEntailed,
+    SizeCapExceeded,
+)
+from .logic import (
+    And,
+    EntailmentVerdict,
+    Formula,
+    Fuse,
+    Not,
+    Or,
+    Var,
+    arrow_formula,
+    entails,
+    evaluate,
+)
 
 DEFAULT_COORDINATE_CAP = 216     # valuation-grid width: 6**3
 DEFAULT_FREE_ELEMENT_CAP = 10**6
+VSP_PRODUCT_CAP = 1024           # product elements; its tables hold 3 * 1024**2 entries
 
 _GENERATOR = "gen"
 _UNARY = "neg"
@@ -173,11 +194,10 @@ _FREE_CACHE = {}
 
 
 def _shared_free_algebra(base, k, coordinate_cap, element_cap):
-    key = (base, k)
+    key = (base, k, coordinate_cap, element_cap)
     cached = _FREE_CACHE.get(key)
-    if cached is None or cached.element_cap < element_cap:
-        cached = FreeAlgebra(base, k, coordinate_cap, element_cap)
-        _FREE_CACHE[key] = cached
+    if cached is None:
+        cached = _FREE_CACHE[key] = FreeAlgebra(base, k, coordinate_cap, element_cap)
     return cached
 
 
@@ -223,7 +243,7 @@ def _variables(formulas):
     return out
 
 
-def _shared_valuation_indices(algebra, scope_vars, shared, base_size):
+def _shared_valuation_indices(scope_vars, shared, base_size):
     """Map each valuation over `scope_vars` to the index of its restriction to
     `shared` in the free algebra's valuation grid (lexicographic, sorted names)."""
     positions = [scope_vars.index(v) for v in shared]
@@ -271,13 +291,13 @@ def maehara_interpolant(sigma, gamma, alpha, algebras, generator=None,
     # designated on all of `required` and undesignated on all of `forbidden`.
     gamma_scope = sorted(_variables(gamma) | set(shared))
     required = set()
-    for assignment, idx in _shared_valuation_indices(generator, gamma_scope, shared, n):
+    for assignment, idx in _shared_valuation_indices(gamma_scope, shared, n):
         valuation = dict(zip(gamma_scope, assignment))
         if all(is_designated(evaluate(generator, valuation, g)) for g in gamma):
             required.add(idx)
     alpha_scope = sorted(_variables(sigma) | alpha.variables() | set(shared))
     forbidden = set()
-    for assignment, idx in _shared_valuation_indices(generator, alpha_scope, shared, n):
+    for assignment, idx in _shared_valuation_indices(alpha_scope, shared, n):
         valuation = dict(zip(alpha_scope, assignment))
         if all(is_designated(evaluate(generator, valuation, s)) for s in sigma) \
                 and not is_designated(evaluate(generator, valuation, alpha)):
@@ -322,3 +342,67 @@ def verify_interpolant(sigma, gamma, alpha, delta, algebras):
     gamma_verdict = entails(algebras, gamma, delta)
     alpha_verdict = entails(algebras, sigma + [delta], alpha)
     return VerificationTranscript(True, gamma_verdict, alpha_verdict)
+
+
+# ---------------------------------------------------------------------------
+# Bounded VSP scanning
+# ---------------------------------------------------------------------------
+
+@dataclass
+class VspViolation:
+    antecedent: Formula
+    consequent: Formula
+
+    def implication(self):
+        return arrow_formula(self.antecedent, self.consequent)
+
+    def __repr__(self):
+        return f"VspViolation({self.antecedent} -> {self.consequent})"
+
+
+def vsp_scan(algebras, size_bound=4, left_var="p", right_var="q"):
+    """Hunt for theorems alpha -> beta with var(alpha)={p}, var(beta)={q}.
+
+    The candidates on each side are the classes of the one-generator free
+    algebra of the direct product of `algebras` whose minimal representatives
+    have at most `size_bound` tree nodes; V(A x B) = V(A, B), and a product
+    element is designated iff every coordinate is.  Returns every pair whose
+    implication is designated under all valuations, in discovery order.  A
+    logic with the variable sharing property yields no violations.
+
+    Repeated algebras are dropped, but the cost still grows with the product
+    of the remaining sizes: the product's tables are size x size and each
+    class is a vector as wide as the product.  A product over
+    VSP_PRODUCT_CAP elements raises SizeCapExceeded; HS(crystal), 720
+    elements, takes seconds, and HS(belnap-m), 4608, is refused.
+    """
+    factors = list({a.table_key(): a for a in algebras}.values())
+    size = math.prod(a.size for a in factors)
+    if size > VSP_PRODUCT_CAP:
+        raise SizeCapExceeded(
+            f"VSP scan over {len(factors)} algebras needs a product of {size} "
+            f"elements (cap {VSP_PRODUCT_CAP})"
+        )
+    base = direct_product(factors)
+    fa = FreeAlgebra(base, 1, coordinate_cap=size)
+    classes = []
+    for element_id in fa.iter_discovery():
+        if fa.sizes[element_id] > size_bound:
+            break
+        classes.append(element_id)
+    # alpha -> beta is designated everywhere iff every value of beta lies in
+    # `theorem_rows[u]` for every value u of alpha.
+    theorem_rows = [
+        {y for y in range(size) if base.is_designated(arrow(base, x, y))}
+        for x in range(size)
+    ]
+    violations = []
+    for left in classes:
+        allowed = set.intersection(*(theorem_rows[u] for u in set(fa.vectors[left])))
+        for right in classes:
+            if allowed.issuperset(fa.vectors[right]):
+                violations.append(VspViolation(
+                    fa.representative(left, names=(left_var,)),
+                    fa.representative(right, names=(right_var,)),
+                ))
+    return violations

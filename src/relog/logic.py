@@ -1,4 +1,4 @@
-"""Formulas, parsing, matrix evaluation, consequence, and VSP scanning.
+"""Formulas, parsing, matrix evaluation and consequence.
 
 The connectives are & (meet), | (join), * (fusion) and ~ (neg); the arrow is
 defined, x -> y = ~(x * ~y), and is desugared at parse time.  Consequence is
@@ -8,12 +8,10 @@ valuation must force the conclusion designated.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import arrow
 from .errors import ParseError, SizeCapExceeded, UnboundVariable
 
 DEFAULT_VALUATION_CAP = 10**7
@@ -261,11 +259,6 @@ def evaluate(algebra, valuation, formula):
     return algebra.fusion[left][right]
 
 
-def designated(algebra, x):
-    """The truth filter: x is designated iff x -> x <= x."""
-    return algebra.is_designated(x)
-
-
 @dataclass
 class Countermodel:
     algebra: object
@@ -341,91 +334,3 @@ R_THEOREM_SCHEMATA = (
     ("excluded-middle", "p | ~p"),
 )
 
-
-# ---------------------------------------------------------------------------
-# Bounded VSP scanning
-# ---------------------------------------------------------------------------
-
-def enumerate_formula_classes(algebras, varname, max_size):
-    """One-variable formulas up to `max_size` nodes, one representative per
-    value-vector class over the given algebras, in order of increasing size.
-
-    Returns a list of (formula, vectors) where vectors[i][x] is the value in
-    algebras[i] when the variable is element x.
-    """
-    start = Var(varname)
-    start_vecs = tuple(tuple(range(a.size)) for a in algebras)
-    counter = 0
-    heap = [(start.size(), counter, start, start_vecs)]
-    seen = {start_vecs}
-    popped = []
-
-    def push(formula, vecs):
-        nonlocal counter
-        if formula.size() <= max_size and vecs not in seen:
-            seen.add(vecs)
-            counter += 1
-            heapq.heappush(heap, (formula.size(), counter, formula, vecs))
-
-    while heap:
-        _, _, formula, vecs = heapq.heappop(heap)
-        popped.append((formula, vecs))
-        push(Not(formula), tuple(
-            tuple(a.neg[v] for v in vec) for a, vec in zip(algebras, vecs)
-        ))
-        for other, ovecs in popped:
-            for ctor, tables in (
-                (And, [a.meet for a in algebras]),
-                (Or, [a.join for a in algebras]),
-                (Fuse, [a.fusion for a in algebras]),
-            ):
-                if other is not formula:
-                    push(ctor(other, formula), tuple(
-                        tuple(t[u][v] for u, v in zip(vec, ovec))
-                        for t, vec, ovec in zip(tables, ovecs, vecs)
-                    ))
-                push(ctor(formula, other), tuple(
-                    tuple(t[u][v] for u, v in zip(vec, ovec))
-                    for t, vec, ovec in zip(tables, vecs, ovecs)
-                ))
-    return popped
-
-
-@dataclass
-class VspViolation:
-    antecedent: Formula
-    consequent: Formula
-
-    def implication(self):
-        return arrow_formula(self.antecedent, self.consequent)
-
-    def __repr__(self):
-        return f"VspViolation({self.antecedent} -> {self.consequent})"
-
-
-def vsp_scan(algebras, size_bound=4, left_var="p", right_var="q"):
-    """Hunt for theorems alpha -> beta with var(alpha)={p}, var(beta)={q}.
-
-    Enumerates both sides up to `size_bound` tree nodes modulo value-vector
-    equivalence and returns every pair whose implication is designated under
-    all cross valuations in every algebra.  A logic with the variable sharing
-    property yields no violations.
-    """
-    lefts = enumerate_formula_classes(algebras, left_var, size_bound)
-    rights = enumerate_formula_classes(algebras, right_var, size_bound)
-    violations = []
-    for alpha, avecs in lefts:
-        for beta, bvecs in rights:
-            if _cross_theorem(algebras, avecs, bvecs):
-                violations.append(VspViolation(alpha, beta))
-    return violations
-
-
-def _cross_theorem(algebras, avecs, bvecs):
-    for algebra, avec, bvec in zip(algebras, avecs, bvecs):
-        for x in range(algebra.size):
-            va = avec[x]
-            for y in range(algebra.size):
-                if not algebra.is_designated(arrow(algebra, va, bvec[y])):
-                    return False
-    return True

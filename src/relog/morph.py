@@ -86,10 +86,11 @@ class Morphism:
         return f"Morphism({self.source.name} => {self.target.name}: {pairs})"
 
 
-def _search_maps(source, target, injective=False, forced=None, first_only=False):
+def _search_maps(source, target, injective=False, forced=None):
     """Backtracking enumeration of operation-preserving maps, lexicographic order.
 
-    `forced` pins images for some source indices before the search starts.
+    Maps are yielded as the search finds them.  `forced` pins images for some
+    source indices before the search starts.
     """
     n, m = source.size, target.size
     mapping = [None] * n
@@ -155,12 +156,10 @@ def _search_maps(source, target, injective=False, forced=None, first_only=False)
         if not consistent(x):
             return
 
-    results = []
-
     def extend(i):
         if i == len(order):
-            results.append(Morphism(source, target, tuple(mapping)))
-            return not first_only
+            yield Morphism(source, target, tuple(mapping))
+            return
         x = order[i]
         for v in range(m):
             if injective and used[v]:
@@ -168,15 +167,13 @@ def _search_maps(source, target, injective=False, forced=None, first_only=False)
             mapping[x] = v
             if injective:
                 used[v] = True
-            if consistent(x) and not extend(i + 1):
-                return False
+            if consistent(x):
+                yield from extend(i + 1)
             mapping[x] = None
             if injective:
                 used[v] = False
-        return True
 
-    extend(0)
-    yield from results
+    yield from extend(0)
 
 
 def _guard_sizes(source, target, cap):
@@ -204,7 +201,7 @@ def isomorphisms(source, target, cap=DEFAULT_HOM_SIZE_CAP):
     """All isomorphisms source -> target (bijective homs; inverses are automatic)."""
     if source.size != target.size:
         return []
-    return [f for f in embeddings(source, target, cap=cap)]
+    return embeddings(source, target, cap=cap)
 
 
 def automorphisms(algebra, cap=DEFAULT_HOM_SIZE_CAP):
@@ -343,6 +340,20 @@ def _candidate_targets(generator, power_bound, cap):
             yield candidate
 
 
+def all_spans(algebra):
+    """Every span of embeddings among the nontrivial (>= 2 element) subalgebras
+    of `algebra`: by apex, left and right subalgebra in subuniverse order, then
+    by left and right leg in lexicographic order."""
+    nontrivial = [subalgebra(algebra, s) for s in all_subuniverses(algebra) if len(s) >= 2]
+    legs = [[embeddings(apex, target) for target in nontrivial] for apex in nontrivial]
+    for row in legs:
+        for lefts in row:
+            for rights in row:
+                for left in lefts:
+                    for right in rights:
+                        yield Span(left, right)
+
+
 def amalgamate_span(span, mode="AP", generator=None, power_bound=1,
                     cap=DEFAULT_HOM_SIZE_CAP):
     """Search for an amalgam of the span among subalgebras of powers of `generator`.
@@ -382,7 +393,6 @@ def amalgamate_span(span, mode="AP", generator=None, power_bound=1,
                 continue
             for arm_right in _search_maps(
                 c_alg, target, injective=(mode == "AP"), forced=forced,
-                first_only=True,
             ):
                 return AmalgamSearchResult(
                     Amalgam(span, target, arm_left, arm_right),

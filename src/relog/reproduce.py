@@ -18,7 +18,7 @@ from .algebra import (
     validate_relevant_algebra,
 )
 from .errors import CapExceeded, NoSharedVariables, NotEntailed, RelogError
-from .interp import maehara_interpolant, verify_interpolant
+from .interp import maehara_interpolant, verify_interpolant, vsp_scan
 from .logic import (
     And,
     Fuse,
@@ -29,9 +29,8 @@ from .logic import (
     parse_formula,
     theorem,
     verify_countermodel,
-    vsp_scan,
 )
-from .morph import Span, amalgamate_span, automorphisms, embeddings, is_extensible
+from .morph import all_spans, amalgamate_span, automorphisms, is_extensible
 from .subcon import (
     all_subuniverses,
     check_cep_class,
@@ -202,23 +201,13 @@ def _item_extensible():
 
 def _item_amalgamation():
     crystal = builtin_crystal()
-    nontrivial = [s for s in all_subuniverses(crystal) if len(s) >= 2]
-    algebras = {s: subalgebra(crystal, s) for s in nontrivial}
     spans = failures = 0
-    for apex_members in nontrivial:
-        apex = algebras[apex_members]
-        for left_members in nontrivial:
-            for right_members in nontrivial:
-                for left in embeddings(apex, algebras[left_members]):
-                    for right in embeddings(apex, algebras[right_members]):
-                        spans += 1
-                        result = amalgamate_span(
-                            Span(left, right), mode="AP",
-                            generator=crystal, power_bound=1,
-                        )
-                        if not (result.found and result.amalgam.target == crystal
-                                and result.amalgam.commutes()):
-                            failures += 1
+    for span in all_spans(crystal):
+        spans += 1
+        result = amalgamate_span(span, mode="AP", generator=crystal, power_bound=1)
+        if not (result.found and result.amalgam.target == crystal
+                and result.amalgam.commutes()):
+            failures += 1
     return failures == 0, f"{spans} spans searched, {failures} without an amalgam in the generator"
 
 

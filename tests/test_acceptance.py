@@ -14,15 +14,14 @@ from relog.algebra import (
     builtin_crystal,
     subalgebra,
 )
-from relog.interp import free_algebra
+from relog.interp import free_algebra, vsp_scan
 from relog.logic import (
     R_THEOREM_SCHEMATA,
     parse_formula,
     theorem,
     verify_countermodel,
-    vsp_scan,
 )
-from relog.morph import Span, amalgamate_span, automorphisms, embeddings, is_extensible
+from relog.morph import all_spans, amalgamate_span, automorphisms, is_extensible
 from relog.reproduce import run_mip_suite
 from relog.subcon import (
     all_subuniverses,
@@ -137,28 +136,18 @@ def test_criterion_4_automorphisms_and_extensibility():
 
 def test_criterion_5_amalgamation_of_all_spans():
     with Criterion(5, "every span among nontrivial subalgebras amalgamates", 60.0):
-        nontrivial = [s for s in all_subuniverses(C) if len(s) >= 2]
-        algebras = {s: subalgebra(C, s) for s in nontrivial}
         spans = 0
-        for apex_members in nontrivial:
-            apex = algebras[apex_members]
-            for left_members in nontrivial:
-                for right_members in nontrivial:
-                    for left in embeddings(apex, algebras[left_members]):
-                        for right in embeddings(apex, algebras[right_members]):
-                            spans += 1
-                            result = amalgamate_span(
-                                Span(left, right), mode="AP",
-                                generator=C, power_bound=1,
-                            )
-                            assert result.found, (
-                                apex_members, left_members, right_members
-                            )
-                            amalgam = result.amalgam
-                            assert amalgam.target == C
-                            assert amalgam.commutes()
-                            assert amalgam.arm_left.is_embedding
-                            assert amalgam.arm_right.is_embedding
+        for span in all_spans(C):
+            spans += 1
+            result = amalgamate_span(span, mode="AP", generator=C, power_bound=1)
+            assert result.found, (
+                span.apex.name, span.left.target.name, span.right.target.name
+            )
+            amalgam = result.amalgam
+            assert amalgam.target == C
+            assert amalgam.commutes()
+            assert amalgam.arm_left.is_embedding
+            assert amalgam.arm_right.is_embedding
         assert spans == 173
 
 

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from relog.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -149,6 +151,27 @@ def test_homs_command(capsys):
     assert "3 homs" in out
 
 
+def test_malformed_pin_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "amalgamate", "--algebra", "crystal",
+        "--apex", "bot,a,top", "--left", "bot,t,a,f,top",
+        "--right", "bot,t,b,f,top", "--map-right", "a", "--bound", "1",
+    )
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("content", [None, '{"gamma": ["p"], "alpha": ', '{"gamma": ["p"]}'],
+                         ids=["missing", "invalid-json", "no-alpha"])
+def test_bad_problem_file_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "problem.json"
+    if content is not None:
+        path.write_text(content)
+    code, report = run_json(capsys, "interpolate", "--problem", str(path))
+    assert code == 2
+    assert report["data"]["error"] == "UsageError"
+
+
 def test_problem_file_input(capsys, tmp_path):
     problem = {"sigma": ["q"], "gamma": ["p"], "alpha": "p"}
     path = tmp_path / "problem.json"
@@ -172,9 +195,13 @@ def test_json_reports_validate_against_schema(capsys):
         ["vsp-scan", "--algebra", "boolean2"],
         ["autos", "--algebra", "crystal"],
         ["reproduce", "--instances", "5", "--seed", "3"],
+        # error envelopes: no shared variables, not entailed, no such algebra
+        ["interpolate", "--gamma", "p", "--alpha", "q"],
+        ["interpolate", "--gamma", "p", "--alpha", "p & q"],
+        ["check", "--property", "simple", "--algebra", "no-such-algebra"],
     ):
         code, report = run_json(capsys, *argv)
-        validate_report(report)
+        validate_report(report)  # the schema admits no keys beyond its own
         assert report["exit_code"] == code
 
 

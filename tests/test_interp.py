@@ -133,6 +133,15 @@ def test_free_algebra_caps():
         free_algebra(C, 1, element_cap=10)
 
 
+def test_interpolant_caps_hold_on_a_warm_cache():
+    gamma, alpha = [parse_formula("~q & p")], parse_formula("~q | r")
+    assert maehara_interpolant([], gamma, alpha, [C]).delta == Not(Var("q"))
+    with pytest.raises(CapExceeded):
+        maehara_interpolant([], gamma, alpha, [C], coordinate_cap=5)
+    with pytest.raises(CapExceeded):
+        maehara_interpolant([], gamma, alpha, [C], element_cap=1)
+
+
 # ---------------------------------------------------------------------------
 # Interpolation
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from relog.algebra import builtin_belnap_m, builtin_boolean2, builtin_crystal
+from relog.algebra import arrow, builtin_belnap_m, builtin_boolean2, builtin_crystal
 from relog.errors import ParseError, SizeCapExceeded, UnboundVariable
+from relog.interp import vsp_scan
 from relog.logic import (
     And,
     Fuse,
@@ -13,15 +14,14 @@ from relog.logic import (
     Var,
     arrow_formula,
     entails,
-    enumerate_formula_classes,
     evaluate,
     parse_formula,
     parse_premises,
     theorem,
     verify_countermodel,
-    vsp_scan,
 )
 from relog.subcon import hs_class
+from tests_oracle_helper import brute_force_min_sizes
 
 C = builtin_crystal()
 B2 = builtin_boolean2()
@@ -259,10 +259,59 @@ def test_vsp_scan_boolean2_finds_explosion():
         assert violation.consequent.variables() == {"q"}
 
 
-def test_enumerate_formula_classes_dedupes_semantically():
-    classes = enumerate_formula_classes([B2], "p", 4)
-    vectors = [vecs for _, vecs in classes]
-    assert len(vectors) == len(set(vectors))
-    assert len(vectors) == 4  # p, ~p, constant 0, constant 1
-    sizes = [formula.size() for formula, _ in classes]
+def _named(name):
+    """boolean2, or the member of HS(crystal) or HS(belnap-m) with this name."""
+    if name == "boolean2":
+        return B2
+    base = C if name.startswith("crystal") else M
+    return next(a for a in hs_class(base) if a.name == name)
+
+
+def _vsp_oracle(algebras, bound):
+    """Cross-variable theorems between all formula classes, by brute force."""
+    sizes = brute_force_min_sizes(algebras, 1, bound)
+    segments, start = [], 0
+    for a in algebras:
+        segments.append((a, slice(start, start + a.size)))
+        start += a.size
+    pairs = {
+        (left, right)
+        for left in sizes
+        for right in sizes
+        if all(a.is_designated(arrow(a, x, y))
+               for a, part in segments for x in left[part] for y in right[part])
+    }
+    return pairs, sizes
+
+
+@pytest.mark.parametrize("names, bound", [
+    (("crystal[bot+t+f+top]%4",), 11),
+    (("belnap_m[n3+n0+p0+p3]%4",), 10),
+    (("boolean2",), 4),
+    (("boolean2", "crystal[bot+top]%2"), 8),
+], ids=["crystal-chain4", "belnap-m-chain4", "boolean2", "boolean2-and-crystal2"])
+def test_vsp_scan_matches_brute_force_oracle(names, bound):
+    algebras = [_named(name) for name in names]
+    expected, min_sizes = _vsp_oracle(algebras, bound)
+    violations = vsp_scan(algebras, bound)
+
+    def vector(formula, var):
+        return tuple(evaluate(a, {var: x}, formula)
+                     for a in algebras for x in range(a.size))
+
+    pairs = [(vector(v.antecedent, "p"), vector(v.consequent, "q")) for v in violations]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == expected
+    for violation, (left, right) in zip(violations, pairs):
+        assert violation.antecedent.variables() == {"p"}
+        assert violation.consequent.variables() == {"q"}
+        assert violation.antecedent.size() == min_sizes[left]
+        assert violation.consequent.size() == min_sizes[right]
+    sizes = [v.antecedent.size() for v in violations]
     assert sizes == sorted(sizes)
+
+
+def test_vsp_scan_drops_repeats_and_refuses_large_products():
+    assert vsp_scan([B2, B2, B2], 4) == vsp_scan([B2], 4)
+    with pytest.raises(SizeCapExceeded):
+        vsp_scan(hs_class(M), 4)
