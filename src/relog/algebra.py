@@ -317,9 +317,16 @@ def data_dir():
 def load_algebra_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_algebra(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         raise DataFileMissing(f"algebra file not found: {path}") from None
+    except IsADirectoryError:
+        raise DataFileMissing(f"algebra file is a directory: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"algebra file {path} is not UTF-8 text (byte {exc.start})"
+        ) from None
+    return load_algebra(text)
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,8 @@ def _cmd_interpolate(args):
         alpha = parse_formula(args.alpha)
     result = maehara_interpolant(
         sigma, gamma, alpha, [algebra],
-        element_cap=args.cap_elements or DEFAULT_FREE_ELEMENT_CAP,
+        element_cap=(DEFAULT_FREE_ELEMENT_CAP if args.cap_elements is None
+                     else args.cap_elements),
     )
     data = {
         "delta": str(result.delta),
@@ -391,8 +392,9 @@ def _cmd_free_algebra(args):
     algebra = _resolve_algebra(args.algebra)
     fa = FreeAlgebra(
         algebra, args.generators,
-        coordinate_cap=args.cap_coordinates or DEFAULT_COORDINATE_CAP,
-        element_cap=args.cap_elements or 20000,
+        coordinate_cap=(DEFAULT_COORDINATE_CAP if args.cap_coordinates is None
+                        else args.cap_coordinates),
+        element_cap=20000 if args.cap_elements is None else args.cap_elements,
     )
     fa.freeze()
     sample = [

@@ -1,9 +1,13 @@
 """Subuniverses, congruences, simplicity and the congruence extension property.
 
 Congruences are generated by closing pairs under one-step translations of the
-basic operations (unary polynomial closure) and the congruence lattice is the
-join-closure of the principal congruences.  Everything here is exhaustive by
-design: correctness over speed at desk scale.
+basic operations (unary polynomial closure).  The congruence lattice is the
+join-closure of the principal congruences of covering pairs, after R. Freese,
+"Computing congruences efficiently", Algebra Universalis 59 (2008): on a
+lattice-based algebra these generate every congruence.  A table that fails a
+lattice law falls back to all pairs as generators.  Subuniverses grow one
+generator at a time from already-closed bases.  Everything here is exhaustive:
+the results are exact, not sampled.
 """
 
 from __future__ import annotations
@@ -11,11 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import FiniteAlgebra, subalgebra
+from .algebra import FiniteAlgebra, subalgebra, validate_relevant_algebra
 from .errors import NotACongruence, SizeCapExceeded
 
 DEFAULT_SUBUNIVERSE_CAP = 24
 DEFAULT_CONGRUENCE_CAP = 100
+
+# The checklist entries that make meet and join a lattice, so that `leq` is
+# its order and covering pairs generate the congruence lattice.
+LATTICE_AXIOMS = (
+    "meet-idempotent", "meet-commutative", "meet-associative",
+    "join-idempotent", "join-commutative", "join-associative", "absorption",
+)
 
 
 class Congruence:
@@ -182,20 +193,43 @@ def congruence_meet(theta, phi):
     return Congruence(algebra, groups.values(), check=False)
 
 
+def _covering_pairs(algebra):
+    """Pairs (x, y) with x < y and no element strictly between them."""
+    leq = algebra.leq
+    pairs = []
+    for x in range(algebra.size):
+        above = [y for y in range(algebra.size) if y != x and leq[x][y]]
+        pairs.extend(
+            (x, y) for y in above if not any(leq[z][y] for z in above if z != y)
+        )
+    return pairs
+
+
 def congruence_lattice(algebra, cap=DEFAULT_CONGRUENCE_CAP):
-    """All congruences, as joins of principal congruences; includes identity and full."""
+    """All congruences, as joins of principal congruences; includes identity and full.
+
+    The generators are the principal congruences of covering pairs.  On a
+    lattice x θ y iff (x∧y) θ (x∨y), and an interval collapses iff every cover
+    on one maximal chain in it collapses, so every congruence is the join of the
+    covering pairs it relates.  A table that fails one of LATTICE_AXIOMS has no
+    such order, and all pairs are the generators.  Joins are closed over the
+    generators only: each congruence found is joined with every generator.
+    """
     if algebra.size > cap:
         raise SizeCapExceeded(
             f"congruence lattice of {algebra.name} ({algebra.size} elements) exceeds cap {cap}"
         )
+    if all(r.holds for r in validate_relevant_algebra(algebra, axioms=LATTICE_AXIOMS)):
+        pairs = _covering_pairs(algebra)
+    else:
+        pairs = combinations(range(algebra.size), 2)
+    generators = {principal_congruence(algebra, x, y) for x, y in pairs}
     found = {identity_congruence(algebra)}
-    for x, y in combinations(range(algebra.size), 2):
-        found.add(principal_congruence(algebra, x, y))
     frontier = list(found)
     while frontier:
         new = []
         for theta in frontier:
-            for phi in list(found):
+            for phi in generators:
                 joined = congruence_join(theta, phi)
                 if joined not in found:
                     found.add(joined)
@@ -233,15 +267,25 @@ def generated_subuniverse(algebra, seed):
 
     The signature has no constants, so the empty seed closes to the empty set.
     """
-    a = algebra
     members = set(seed)
-    frontier = list(members)
+    return _close(algebra, members, list(members))
+
+
+def _close(algebra, members, frontier):
+    """Grow the set `members` in place to a subuniverse and return it sorted.
+
+    `frontier` lists the members not yet combined; every other member must
+    already form a closed set.  Only frontier elements and elements added on the
+    way are combined with the members, so a closed base is never recombined.
+    """
+    a = algebra
     while frontier:
         x = frontier.pop()
         candidates = [a.neg[x]]
-        for y in members:
-            for table in (a.meet, a.join, a.fusion):
-                candidates.append(table[x][y])
+        for table in (a.meet, a.join, a.fusion):
+            row = table[x]
+            for y in members:
+                candidates.append(row[y])
                 candidates.append(table[y][x])
         for c in candidates:
             if c not in members:
@@ -255,8 +299,9 @@ def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERS
 
     Starts from the closure of each singleton and repeatedly extends each found
     subuniverse by one outside generator; this reaches every subuniverse because
-    closures are monotone in their seeds.  Results are canonically sorted by
-    (size, members).
+    closures are monotone in their seeds.  An extension combines only the new
+    generator and the elements it brings in, never the base's own pairs.
+    Results are canonically sorted by (size, members).
     """
     if algebra.size > cap:
         raise SizeCapExceeded(
@@ -271,7 +316,7 @@ def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERS
         for x in range(algebra.size):
             if x in base_set:
                 continue
-            grown = generated_subuniverse(algebra, base_set | {x})
+            grown = _close(algebra, base_set | {x}, [x])
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)

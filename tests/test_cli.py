@@ -172,6 +172,32 @@ def test_bad_problem_file_is_usage_error(capsys, tmp_path, content):
     assert report["data"]["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("free-algebra", "--algebra", "boolean2", "--generators", "2", "--cap-elements", "0"),
+    ("free-algebra", "--algebra", "boolean2", "--generators", "2",
+     "--cap-coordinates", "0"),
+    ("interpolate", "--gamma", "p & q", "--alpha", "q | r", "--cap-elements", "0"),
+], ids=["free-elements", "free-coordinates", "interpolate-elements"])
+def test_zero_cap_is_honoured(capsys, argv):
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["data"]["error"] == "CapExceeded"
+
+
+def test_algebra_path_naming_a_directory_is_usage_error(capsys, tmp_path):
+    code, report = run_json(capsys, "validate", "--algebra", str(tmp_path))
+    assert code == 2
+    assert report["data"]["error"] == "DataFileMissing"
+
+
+def test_algebra_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes("algebra caf\xe9\nelements 0 1\n".encode("latin-1"))
+    code, report = run_json(capsys, "validate", "--algebra", str(path))
+    assert code == 2
+    assert report["data"]["error"] == "ParseError"
+
+
 def test_problem_file_input(capsys, tmp_path):
     problem = {"sigma": ["q"], "gamma": ["p"], "alpha": "p"}
     path = tmp_path / "problem.json"

@@ -2,10 +2,14 @@ from itertools import combinations, product
 
 import pytest
 
+from relog import subcon
 from relog.algebra import (
+    FiniteAlgebra,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
+    power,
+    product as direct_product,
     quotient,
     subalgebra,
     validate_relevant_algebra,
@@ -26,6 +30,11 @@ from relog.subcon import (
     is_fsi,
     is_simple,
     principal_congruence,
+)
+from tests_oracle_helper import (
+    brute_force_congruence_lattice,
+    is_closed,
+    powerset_subuniverses,
 )
 
 C = builtin_crystal()
@@ -57,31 +66,9 @@ def test_generated_subuniverse_singletons():
     assert generated_subuniverse(C, set()) == ()
 
 
-def _closed(algebra, members):
-    ms = set(members)
-    if any(algebra.neg[x] not in ms for x in ms):
-        return False
-    for x, y in product(ms, repeat=2):
-        for table in (algebra.meet, algebra.join, algebra.fusion):
-            if table[x][y] not in ms:
-                return False
-    return True
-
-
-def _powerset_subuniverses(algebra):
-    """Independent oracle: filter the whole powerset by closure."""
-    out = []
-    elems = range(algebra.size)
-    for r in range(algebra.size + 1):
-        for subset in combinations(elems, r):
-            if _closed(algebra, subset):
-                out.append(subset)
-    return sorted(out, key=lambda s: (len(s), s))
-
-
-@pytest.mark.parametrize("algebra", [C, B2, M], ids=lambda a: a.name)
+@pytest.mark.parametrize("algebra", [C, B2, M, power(B2, 3)], ids=lambda a: a.name)
 def test_all_subuniverses_matches_powerset_oracle(algebra):
-    assert all_subuniverses(algebra) == _powerset_subuniverses(algebra)
+    assert all_subuniverses(algebra) == powerset_subuniverses(algebra)
 
 
 def test_crystal_proper_universes_are_the_known_eight():
@@ -95,7 +82,7 @@ def test_boolean2_has_no_proper_nonempty_subuniverse():
 
 def test_every_subuniverse_is_closed():
     for s in all_subuniverses(C):
-        assert _closed(C, s)
+        assert is_closed(C, s)
 
 
 def test_subuniverse_cap():
@@ -180,6 +167,59 @@ def test_congruence_join_is_least_upper_bound():
         for x, y in combinations(range(chain.size), 2):
             if theta.related(x, y) or phi.related(x, y):
                 assert joined.related(x, y)
+
+
+# boolean2^2 with meet replaced by the right projection x meet y = y.  Meet is
+# not commutative, and its order has no covering pair, though the kernels of
+# the two coordinate projections are congruences.
+_B2_SQUARE = power(B2, 2)
+NOT_A_LATTICE = FiniteAlgebra("boolean2^2~", _B2_SQUARE.elements,
+                              [range(4)] * 4, _B2_SQUARE.join, _B2_SQUARE.fusion,
+                              _B2_SQUARE.neg)
+
+CONGRUENCE_ORACLE_CASES = {
+    "builtins": lambda: [C, M, B2],
+    "Sub(crystal)": lambda: [subalgebra(C, s) for s in all_subuniverses(C) if s],
+    "Sub(belnap-m)": lambda: [subalgebra(M, s) for s in all_subuniverses(M) if s],
+    "HS(crystal)": lambda: hs_class(C, include_trivial=True),
+    "HS(belnap-m)": lambda: hs_class(M, include_trivial=True),
+    "boolean2^3": lambda: [power(B2, 3)],
+    "crystal x boolean2": lambda: [direct_product([C, B2])],
+    "crystal^2": lambda: [power(C, 2)],
+    "not-a-lattice": lambda: [NOT_A_LATTICE],
+}
+
+
+@pytest.mark.parametrize("case", CONGRUENCE_ORACLE_CASES)
+def test_congruence_lattice_matches_all_pairs_oracle(case):
+    for algebra in CONGRUENCE_ORACLE_CASES[case]():
+        assert congruence_lattice(algebra) == brute_force_congruence_lattice(algebra), \
+            algebra.name
+
+
+def _count_principal_congruences(monkeypatch, algebra):
+    calls = []
+    real = subcon.principal_congruence
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subcon, "principal_congruence", counting)
+    congruence_lattice(algebra)
+    return len(calls)
+
+
+def test_congruence_lattice_of_crystal_square_uses_covering_pairs(monkeypatch):
+    # crystal has 6 covers, so crystal^2 has 6 * 6 * 2 = 72; it has 630 pairs
+    assert _count_principal_congruences(monkeypatch, power(C, 2)) <= 72
+
+
+def test_congruence_lattice_falls_back_to_all_pairs_off_a_lattice(monkeypatch):
+    assert not all(r.holds for r in validate_relevant_algebra(
+        NOT_A_LATTICE, axioms=subcon.LATTICE_AXIOMS))
+    assert len(congruence_lattice(NOT_A_LATTICE)) == 4
+    assert _count_principal_congruences(monkeypatch, NOT_A_LATTICE) == 6
 
 
 def test_belnap_fourchain_has_middle_congruence():
