@@ -209,10 +209,6 @@ def validate_relevant_algebra(algebra, axioms=None):
     return reports
 
 
-def is_valid_relevant_algebra(algebra):
-    return all(r.holds for r in validate_relevant_algebra(algebra))
-
-
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -436,23 +432,24 @@ def builtin(name):
 def product(algebras):
     """Direct product with componentwise tables; element names join coordinates
     with '.', in lexicographic order of the coordinate tuples."""
-    return _direct_product(" x ".join(a.name for a in algebras), algebras,
-                           DEFAULT_ELEMENT_CAP)
+    return _direct_product(" x ".join(a.name for a in algebras), algebras)
 
 
-def power(algebra, k, cap=DEFAULT_ELEMENT_CAP):
+def power(algebra, k):
     """The direct power algebra^k, named `<name>^k`."""
     if k < 1:
         raise ValueError("power exponent must be >= 1")
-    return _direct_product(f"{algebra.name}^{k}", [algebra] * k, cap)
+    return _direct_product(f"{algebra.name}^{k}", [algebra] * k)
 
 
-def _direct_product(name, factors, cap):
+def _direct_product(name, factors):
     if not factors:
         raise ValueError("a direct product needs at least one factor")
     size = math.prod(a.size for a in factors)
-    if size > cap:
-        raise SizeCapExceeded(f"{name} would have {size} elements (cap {cap})")
+    if size > DEFAULT_ELEMENT_CAP:
+        raise SizeCapExceeded(
+            f"{name} would have {size} elements (cap {DEFAULT_ELEMENT_CAP})"
+        )
     coords = list(product_of(*(range(a.size) for a in factors)))
     names = [".".join(a.elements[c] for a, c in zip(factors, tup)) for tup in coords]
     pos = {tup: i for i, tup in enumerate(coords)}

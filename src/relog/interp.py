@@ -151,9 +151,6 @@ class FreeAlgebra:
             raise ValueError("element count is exact only after freeze()")
         return len(self.vectors)
 
-    def contains_vector(self, vector):
-        return vector in self.index
-
     def representative(self, element_id, names=None):
         """Minimal-size formula evaluating to the element's value vector."""
         names = names or tuple(f"g{d}" for d in range(self.k))
@@ -184,20 +181,19 @@ class FreeAlgebra:
             i += 1
 
 
-def free_algebra(base, k, coordinate_cap=DEFAULT_COORDINATE_CAP,
-                 element_cap=DEFAULT_FREE_ELEMENT_CAP):
+def free_algebra(base, k):
     """Fully closed free algebra of the variety of `base` on k generators."""
-    return FreeAlgebra(base, k, coordinate_cap, element_cap).freeze()
+    return FreeAlgebra(base, k).freeze()
 
 
 _FREE_CACHE = {}
 
 
-def _shared_free_algebra(base, k, coordinate_cap, element_cap):
-    key = (base, k, coordinate_cap, element_cap)
+def _shared_free_algebra(base, k, element_cap):
+    key = (base, k, element_cap)
     cached = _FREE_CACHE.get(key)
     if cached is None:
-        cached = _FREE_CACHE[key] = FreeAlgebra(base, k, coordinate_cap, element_cap)
+        cached = _FREE_CACHE[key] = FreeAlgebra(base, k, element_cap=element_cap)
     return cached
 
 
@@ -256,16 +252,17 @@ def _shared_valuation_indices(scope_vars, shared, base_size):
     return indices
 
 
-def maehara_interpolant(sigma, gamma, alpha, algebras, generator=None,
-                        coordinate_cap=DEFAULT_COORDINATE_CAP,
+def maehara_interpolant(sigma, gamma, alpha, algebras,
                         element_cap=DEFAULT_FREE_ELEMENT_CAP):
     """Find a formula delta over the shared variables with gamma |- delta and
     sigma, delta |- alpha.
 
     The shared set is var(sigma + [alpha]) & var(gamma) — the asymmetric reading:
     delta must be provable from gamma and usable alongside sigma.  Candidates
-    are the free-algebra elements over the shared variables in discovery order,
-    so the returned interpolant has minimal size.
+    are the elements of the free algebra over `algebras[0]` on the shared
+    variables, in discovery order, so the returned interpolant has minimal size.
+    That free algebra is cached and grown in place across calls, so concurrent
+    calls on one base algebra are not safe.
     """
     sigma, gamma = list(sigma), list(gamma)
     shared = tuple(sorted(_variables(sigma + [alpha]) & _variables(gamma)))
@@ -279,9 +276,8 @@ def maehara_interpolant(sigma, gamma, alpha, algebras, generator=None,
             "the premises do not entail the conclusion",
             countermodel=precheck.countermodel,
         )
-    if generator is None:
-        generator = algebras[0]
-    fa = _shared_free_algebra(generator, len(shared), coordinate_cap, element_cap)
+    generator = algebras[0]
+    fa = _shared_free_algebra(generator, len(shared), element_cap)
     n = generator.size
     is_designated = generator.is_designated
 
@@ -327,9 +323,9 @@ def maehara_interpolant(sigma, gamma, alpha, algebras, generator=None,
     )
 
 
-def deductive_interpolant(gamma, alpha, algebras, **kwargs):
+def deductive_interpolant(gamma, alpha, algebras):
     """Interpolation for plain deducibility: the sigma-free special case."""
-    return maehara_interpolant([], gamma, alpha, algebras, **kwargs)
+    return maehara_interpolant([], gamma, alpha, algebras)
 
 
 def verify_interpolant(sigma, gamma, alpha, delta, algebras):
@@ -360,7 +356,7 @@ class VspViolation:
         return f"VspViolation({self.antecedent} -> {self.consequent})"
 
 
-def vsp_scan(algebras, size_bound=4, left_var="p", right_var="q"):
+def vsp_scan(algebras, size_bound=4):
     """Hunt for theorems alpha -> beta with var(alpha)={p}, var(beta)={q}.
 
     The candidates on each side are the classes of the one-generator free
@@ -402,7 +398,7 @@ def vsp_scan(algebras, size_bound=4, left_var="p", right_var="q"):
         for right in classes:
             if allowed.issuperset(fa.vectors[right]):
                 violations.append(VspViolation(
-                    fa.representative(left, names=(left_var,)),
-                    fa.representative(right, names=(right_var,)),
+                    fa.representative(left, names=("p",)),
+                    fa.representative(right, names=("q",)),
                 ))
     return violations

@@ -15,6 +15,9 @@ from itertools import product
 from .errors import ParseError, SizeCapExceeded, UnboundVariable
 
 DEFAULT_VALUATION_CAP = 10**7
+# Parsing, str, hashing and evaluate recurse at most three frames a level, so
+# this stays well inside Python's default recursion limit of 1000.
+MAX_FORMULA_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +159,17 @@ def _tokenize(text):
     return tokens
 
 
+# binary symbol -> (precedence, constructor); the arrow is desugared
+_BINARY = {"->": (0, arrow_formula), "|": (1, Or), "&": (2, And), "*": (3, Fuse)}
+
+
 def parse_formula(text):
-    """Parse with precedence ~ > * > & > | > ->, right-associative arrow."""
+    """Parse with precedence ~ > * > & > | > ->, right-associative arrow.
+
+    Every connective on a path from the root to a variable (an arrow counts
+    the three it stands for) and every pair of parentheses is a level; more
+    than MAX_FORMULA_DEPTH levels raise ParseError before the parser recurses.
+    """
     tokens = _tokenize(text)
     index = 0
 
@@ -176,54 +188,49 @@ def parse_formula(text):
             raise ParseError(f"expected {symbol!r}", position=at)
         advance()
 
-    def parse_arrow():
-        left = parse_or()
-        if peek() == "->":
-            advance()
-            right = parse_arrow()
-            return arrow_formula(left, right)
-        return left
+    def checked(depth, at):
+        if depth > MAX_FORMULA_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at)
+        return depth
 
-    def parse_or():
-        node = parse_and()
-        while peek() == "|":
-            advance()
-            node = Or(node, parse_and())
-        return node
+    # `above` counts the levels known to enclose the formula being parsed;
+    # each parser returns the formula and its depth, a variable's being 0.
+    def parse_binary(min_precedence, above):
+        """Precedence climbing: left-associative * & |, right-associative ->."""
+        node, depth = parse_unary(above)
+        while _BINARY.get(peek(), (-1,))[0] >= min_precedence:
+            symbol, at = advance()
+            precedence, ctor = _BINARY[symbol]
+            if symbol == "->":  # right-associative; its right operand is 3 levels down
+                right, right_depth = parse_binary(precedence, checked(above + 3, at))
+                depth = max(depth + 2, right_depth + 3)
+            else:
+                right, right_depth = parse_binary(precedence + 1, checked(above + 1, at))
+                depth = max(depth, right_depth) + 1
+            node, depth = ctor(node, right), checked(depth, at)
+        return node, depth
 
-    def parse_and():
-        node = parse_fuse()
-        while peek() == "&":
-            advance()
-            node = And(node, parse_fuse())
-        return node
-
-    def parse_fuse():
-        node = parse_unary()
-        while peek() == "*":
-            advance()
-            node = Fuse(node, parse_unary())
-        return node
-
-    def parse_unary():
+    def parse_unary(above):
         token = peek()
-        if token == "~":
-            advance()
-            return Not(parse_unary())
-        if token == "(":
-            advance()
-            node = parse_arrow()
-            expect(")")
-            return node
+        if token in ("~", "("):
+            at = advance()[1]
+            inner = checked(above + 1, at)
+            if token == "~":
+                node, depth = parse_unary(inner)
+                node = Not(node)
+            else:
+                node, depth = parse_binary(0, inner)
+                expect(")")
+            return node, checked(depth + 1, at)
         if token is None:
             raise ParseError("unexpected end of formula", position=len(text))
         if re.fullmatch(r"[a-z][a-z0-9_]*", token):
             advance()
-            return Var(token)
+            return Var(token), 0
         at = tokens[index][1]
         raise ParseError(f"unexpected token {token!r}", position=at)
 
-    node = parse_arrow()
+    node, _ = parse_binary(0, 0)
     if index != len(tokens):
         raise ParseError(f"trailing input {tokens[index][0]!r}",
                          position=tokens[index][1])
@@ -289,7 +296,7 @@ def verify_countermodel(algebra, valuation, premises, conclusion):
     return not algebra.is_designated(evaluate(algebra, valuation, conclusion))
 
 
-def entails(algebras, premises, conclusion, cap=DEFAULT_VALUATION_CAP):
+def entails(algebras, premises, conclusion):
     """Finitary consequence over a list of algebras.
 
     Holds iff for every algebra and every valuation designating all premises,
@@ -301,9 +308,10 @@ def entails(algebras, premises, conclusion, cap=DEFAULT_VALUATION_CAP):
         conclusion.variables(), *[p.variables() for p in premises]
     ))
     for algebra in algebras:
-        if algebra.size ** len(variables) > cap:
+        if algebra.size ** len(variables) > DEFAULT_VALUATION_CAP:
             raise SizeCapExceeded(
-                f"valuation space {algebra.size}^{len(variables)} exceeds cap {cap}"
+                f"valuation space {algebra.size}^{len(variables)} exceeds cap "
+                f"{DEFAULT_VALUATION_CAP}"
             )
         for assignment in product(range(algebra.size), repeat=len(variables)):
             valuation = dict(zip(variables, assignment))
@@ -315,9 +323,9 @@ def entails(algebras, premises, conclusion, cap=DEFAULT_VALUATION_CAP):
     return EntailmentVerdict(True)
 
 
-def theorem(algebras, formula, cap=DEFAULT_VALUATION_CAP):
+def theorem(algebras, formula):
     """Theoremhood: consequence from no premises."""
-    return entails(algebras, [], formula, cap=cap)
+    return entails(algebras, [], formula)
 
 
 # Ten standard theorem schemata of the base relevant logic, instantiated.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .algebra import FiniteAlgebra, power, subalgebra
 from .errors import SizeCapExceeded
-from .subcon import all_subuniverses
+from .subcon import DEFAULT_SUBUNIVERSE_CAP, all_subuniverses
 
 DEFAULT_HOM_SIZE_CAP = 4096
 
@@ -40,16 +40,6 @@ class Morphism:
     @property
     def is_automorphism(self):
         return self.is_isomorphism and self.source == self.target
-
-    @property
-    def kind(self):
-        if self.is_automorphism:
-            return "automorphism"
-        if self.is_isomorphism:
-            return "isomorphism"
-        if self.is_embedding:
-            return "embedding"
-        return "hom"
 
     def __call__(self, x):
         return self.mapping[x]
@@ -176,36 +166,37 @@ def _search_maps(source, target, injective=False, forced=None):
     yield from extend(0)
 
 
-def _guard_sizes(source, target, cap):
-    if source.size * target.size > cap:
+def _guard_sizes(source, target):
+    if source.size * target.size > DEFAULT_HOM_SIZE_CAP:
         raise SizeCapExceeded(
-            f"morphism search {source.name} -> {target.name} exceeds cap {cap}"
+            f"morphism search {source.name} -> {target.name} exceeds cap "
+            f"{DEFAULT_HOM_SIZE_CAP}"
         )
 
 
-def homomorphisms(source, target, cap=DEFAULT_HOM_SIZE_CAP):
+def homomorphisms(source, target):
     """All homomorphisms source -> target, lexicographically ordered."""
-    _guard_sizes(source, target, cap)
+    _guard_sizes(source, target)
     return list(_search_maps(source, target))
 
 
-def embeddings(source, target, cap=DEFAULT_HOM_SIZE_CAP):
+def embeddings(source, target):
     """All injective homomorphisms source -> target."""
-    _guard_sizes(source, target, cap)
+    _guard_sizes(source, target)
     if source.size > target.size:
         return []
     return list(_search_maps(source, target, injective=True))
 
 
-def isomorphisms(source, target, cap=DEFAULT_HOM_SIZE_CAP):
+def isomorphisms(source, target):
     """All isomorphisms source -> target (bijective homs; inverses are automatic)."""
     if source.size != target.size:
         return []
-    return embeddings(source, target, cap=cap)
+    return embeddings(source, target)
 
 
-def automorphisms(algebra, cap=DEFAULT_HOM_SIZE_CAP):
-    return isomorphisms(algebra, algebra, cap=cap)
+def automorphisms(algebra):
+    return isomorphisms(algebra, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +224,11 @@ class ExtensibilityReport:
         return self.extensible
 
 
-def is_extensible(algebra, cap=DEFAULT_HOM_SIZE_CAP):
+def is_extensible(algebra):
     """Does every isomorphism between non-trivial (>= 2 element) subalgebras
     extend to an automorphism?  Returns a report with a certificate per
     isomorphism, or the first failing isomorphism."""
-    autos = automorphisms(algebra, cap=cap)
+    autos = automorphisms(algebra)
     subs = [s for s in all_subuniverses(algebra) if len(s) >= 2]
     subalgebras = {s: subalgebra(algebra, s) for s in subs}
     certificates = []
@@ -245,7 +236,7 @@ def is_extensible(algebra, cap=DEFAULT_HOM_SIZE_CAP):
         for s2 in subs:
             if len(s1) != len(s2):
                 continue
-            for phi in isomorphisms(subalgebras[s1], subalgebras[s2], cap=cap):
+            for phi in isomorphisms(subalgebras[s1], subalgebras[s2]):
                 extension = None
                 for auto in autos:
                     if all(auto.mapping[s1[i]] == s2[phi.mapping[i]]
@@ -321,17 +312,19 @@ class AmalgamSearchResult:
         return self.amalgam is not None
 
 
-def _candidate_targets(generator, power_bound, cap):
-    """Search order: the generator itself, then subalgebras of its direct powers."""
+def _candidate_targets(generator, power_bound):
+    """Search order: the generator itself, then subalgebras of its direct powers;
+    a power too large to enumerate raises SizeCapExceeded before it is built."""
     yield generator
     for exponent in range(1, power_bound + 1):
-        try:
-            big = generator if exponent == 1 else power(generator, exponent, cap=cap)
-        except SizeCapExceeded:
-            return
-        if big.size > 24:
-            continue  # subuniverse enumeration beyond this is not desk scale
-        for members in all_subuniverses(big, proper_nonempty_only=False):
+        size = generator.size ** exponent
+        if size > DEFAULT_SUBUNIVERSE_CAP:
+            raise SizeCapExceeded(
+                f"amalgam search needs the subuniverses of {generator.name}^{exponent} "
+                f"({size} elements), over cap {DEFAULT_SUBUNIVERSE_CAP}"
+            )
+        big = generator if exponent == 1 else power(generator, exponent)
+        for members in all_subuniverses(big):
             if not members:
                 continue
             candidate = subalgebra(big, members)
@@ -354,13 +347,13 @@ def all_spans(algebra):
                         yield Span(left, right)
 
 
-def amalgamate_span(span, mode="AP", generator=None, power_bound=1,
-                    cap=DEFAULT_HOM_SIZE_CAP):
+def amalgamate_span(span, mode="AP", generator=None, power_bound=1):
     """Search for an amalgam of the span among subalgebras of powers of `generator`.
 
     AP mode needs both legs and both arms injective; TIP mode needs only the
     right leg and the left arm injective.  Returns the first amalgam found in
     canonical order, or a result with `amalgam=None` once the bound is exhausted.
+    Reaching a power over the subuniverse cap raises SizeCapExceeded.
     """
     if mode not in ("AP", "TIP"):
         raise ValueError("mode must be AP or TIP")
@@ -374,7 +367,7 @@ def amalgamate_span(span, mode="AP", generator=None, power_bound=1,
     b_alg, c_alg, apex = span.left.target, span.right.target, span.apex
     min_size = max(b_alg.size, c_alg.size) if mode == "AP" else b_alg.size
     tried = 0
-    for target in _candidate_targets(generator, power_bound, cap=cap):
+    for target in _candidate_targets(generator, power_bound):
         if target.size < min_size:
             continue
         tried += 1
@@ -403,9 +396,3 @@ def amalgamate_span(span, mode="AP", generator=None, power_bound=1,
 
 def identity_morphism(algebra):
     return Morphism(algebra, algebra, tuple(range(algebra.size)))
-
-
-def inclusion_morphism(algebra, members, ambient=None):
-    """Embedding of the subalgebra on `members` into the ambient algebra."""
-    ambient = ambient or algebra
-    return Morphism(subalgebra(algebra, members), ambient, tuple(sorted(members)))

@@ -73,12 +73,18 @@ class ReportItem:
 # Seeded interpolation suite
 # ---------------------------------------------------------------------------
 
-def random_formula(rng, pool, max_size=4, continue_probability=0.5, max_depth=3):
+MIP_POOL = ("p", "q", "r")      # the variables of the seeded suite's formulas
+MIP_MAX_SIZE = 4                # nodes
+MIP_CONTINUE_PROBABILITY = 0.5  # chance of a connective at each level
+MIP_MAX_DEPTH = 3
+
+
+def random_formula(rng):
     """Random formula tree: uniform connective choice, geometric depth,
-    rejection-sampled down to `max_size` nodes."""
+    rejection-sampled down to MIP_MAX_SIZE nodes."""
     def gen(depth):
-        if depth >= max_depth or rng.random() > continue_probability:
-            return Var(rng.choice(pool))
+        if depth >= MIP_MAX_DEPTH or rng.random() > MIP_CONTINUE_PROBABILITY:
+            return Var(rng.choice(MIP_POOL))
         ctor = rng.choice((Not, And, Or, Fuse))
         if ctor is Not:
             return Not(gen(depth + 1))
@@ -86,12 +92,11 @@ def random_formula(rng, pool, max_size=4, continue_probability=0.5, max_depth=3)
 
     while True:
         formula = gen(0)
-        if formula.size() <= max_size:
+        if formula.size() <= MIP_MAX_SIZE:
             return formula
 
 
-def run_mip_suite(algebras, instances=500, seed=0, pool=("p", "q", "r"),
-                  max_size=4):
+def run_mip_suite(algebras, instances=500, seed=0):
     """Generate valid interpolation problems and synthesize+verify on each.
 
     An instance is valid when the shared-variable precondition and the
@@ -112,11 +117,9 @@ def run_mip_suite(algebras, instances=500, seed=0, pool=("p", "q", "r"),
     }
     while stats["instances"] < instances:
         stats["attempts"] += 1
-        sigma = [random_formula(rng, pool, max_size)
-                 for _ in range(rng.randrange(3))]
-        gamma = [random_formula(rng, pool, max_size)
-                 for _ in range(1 + rng.randrange(2))]
-        alpha = random_formula(rng, pool, max_size)
+        sigma = [random_formula(rng) for _ in range(rng.randrange(3))]
+        gamma = [random_formula(rng) for _ in range(1 + rng.randrange(2))]
+        alpha = random_formula(rng)
         try:
             result = maehara_interpolant(sigma, gamma, alpha, algebras)
         except (NoSharedVariables, NotEntailed):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import FiniteAlgebra, subalgebra, validate_relevant_algebra
+from .algebra import FiniteAlgebra, quotient, subalgebra, validate_relevant_algebra
 from .errors import NotACongruence, SizeCapExceeded
 
 DEFAULT_SUBUNIVERSE_CAP = 24
@@ -205,7 +205,7 @@ def _covering_pairs(algebra):
     return pairs
 
 
-def congruence_lattice(algebra, cap=DEFAULT_CONGRUENCE_CAP):
+def congruence_lattice(algebra):
     """All congruences, as joins of principal congruences; includes identity and full.
 
     The generators are the principal congruences of covering pairs.  On a
@@ -215,9 +215,10 @@ def congruence_lattice(algebra, cap=DEFAULT_CONGRUENCE_CAP):
     such order, and all pairs are the generators.  Joins are closed over the
     generators only: each congruence found is joined with every generator.
     """
-    if algebra.size > cap:
+    if algebra.size > DEFAULT_CONGRUENCE_CAP:
         raise SizeCapExceeded(
-            f"congruence lattice of {algebra.name} ({algebra.size} elements) exceeds cap {cap}"
+            f"congruence lattice of {algebra.name} ({algebra.size} elements) "
+            f"exceeds cap {DEFAULT_CONGRUENCE_CAP}"
         )
     if all(r.holds for r in validate_relevant_algebra(algebra, axioms=LATTICE_AXIOMS)):
         pairs = _covering_pairs(algebra)
@@ -239,16 +240,16 @@ def congruence_lattice(algebra, cap=DEFAULT_CONGRUENCE_CAP):
     return sorted(found, key=lambda c: (-len(c.blocks), c.block_of))
 
 
-def is_simple(algebra, cap=DEFAULT_CONGRUENCE_CAP):
+def is_simple(algebra):
     """Simple: more than one element and no congruence besides identity and full."""
     if algebra.size <= 1:
         return False
-    return len(congruence_lattice(algebra, cap=cap)) == 2
+    return len(congruence_lattice(algebra)) == 2
 
 
-def is_fsi(algebra, cap=DEFAULT_CONGRUENCE_CAP):
+def is_fsi(algebra):
     """Finitely subdirectly irreducible: the identity congruence is meet-irreducible."""
-    lattice = congruence_lattice(algebra, cap=cap)
+    lattice = congruence_lattice(algebra)
     delta = identity_congruence(algebra)
     for theta, phi in combinations(lattice, 2):
         if theta == delta or phi == delta:
@@ -371,20 +372,18 @@ def check_cep_pair(algebra, members, big_lattice=None):
     return witnesses
 
 
-def hs_class(algebra, include_trivial=False, cap=DEFAULT_SUBUNIVERSE_CAP):
-    """All quotients of all subalgebras, deduplicated up to isomorphism."""
+def hs_class(algebra):
+    """All nontrivial quotients of all subalgebras, deduplicated up to isomorphism."""
     from .morph import isomorphisms  # deferred: morph builds on this module
 
-    from .algebra import quotient
-
     representatives = []
-    for members in all_subuniverses(algebra, cap=cap):
+    for members in all_subuniverses(algebra):
         if not members:
             continue
         sub = subalgebra(algebra, members)
         for theta in congruence_lattice(sub):
             q = quotient(sub, theta)
-            if q.size == 1 and not include_trivial:
+            if q.size == 1:
                 continue
             if not any(
                 q.size == r.size and isomorphisms(q, r) for r in representatives

@@ -6,9 +6,11 @@ import sys
 import pytest
 
 from relog.cli import main
+from relog.logic import MAX_FORMULA_DEPTH
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(REPO_ROOT, "docs", "report-schema.json")
+REPRODUCE_GOLDEN = os.path.join(REPO_ROOT, "tests", "data", "reproduce_default.json")
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +186,34 @@ def test_zero_cap_is_honoured(capsys, argv):
     assert report["data"]["error"] == "CapExceeded"
 
 
+def test_amalgam_search_past_the_subuniverse_cap_is_an_engine_error(capsys):
+    # belnap-m has spans with no amalgam in itself; bound 2 reaches belnap-m^2
+    code, report = run_json(capsys, "amalgamate", "--algebra", "belnap-m",
+                            "--all-spans", "--bound", "2")
+    assert code == 2
+    assert report["data"]["error"] == "SizeCapExceeded"
+
+
+def test_formula_at_the_depth_limit_is_decided(capsys):
+    depth = MAX_FORMULA_DEPTH - 3  # p -> p is ~(p * ~p), three levels
+    code, report = run_json(capsys, "entails", "--conclusion",
+                            "(" * depth + "p -> p" + ")" * depth)
+    assert code == 0
+    assert report["verdict"] == "holds"
+
+
+@pytest.mark.parametrize("conclusion", [
+    "~" * (MAX_FORMULA_DEPTH + 1) + "p",
+    "~" * 3000 + "p",
+    "(" * 600 + "p" + ")" * 600,
+], ids=["one-past", "neg-3000", "parens-600"])
+def test_formula_past_the_depth_limit_is_usage_error(capsys, conclusion):
+    code, report = run_json(capsys, "entails", "--conclusion", conclusion)
+    assert code == 2
+    assert report["data"]["error"] == "ParseError"
+    validate_report(report)
+
+
 def test_algebra_path_naming_a_directory_is_usage_error(capsys, tmp_path):
     code, report = run_json(capsys, "validate", "--algebra", str(tmp_path))
     assert code == 2
@@ -263,6 +293,18 @@ def test_reproduce_quick_and_deterministic(capsys):
     assert statuses["lemma1.subalgebras"] == "pass"
     assert statuses["mip.crystal"] == "pass"
     assert statuses["cep.belnap-m"] == "info"
+
+
+def test_reproduce_output_matches_the_committed_report(capsys):
+    """`relog --format json reproduce` must stay byte-identical apart from
+    `elapsed`; the committed report is that output with `elapsed` removed."""
+    code, out, _ = run_cli(capsys, "--format", "json", "reproduce")
+    report = json.loads(out)
+    for item in report["items"]:
+        del item["elapsed"]
+    with open(REPRODUCE_GOLDEN, "r", encoding="utf-8") as fh:
+        assert json.dumps(report, indent=2) + "\n" == fh.read()
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,35 +26,11 @@ from relog.logic import (
     parse_formula,
     parse_premises,
 )
+from tests_oracle_helper import brute_force_vectors
 
 C = builtin_crystal()
 B2 = builtin_boolean2()
 M = builtin_belnap_m()
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: value vectors of ALL formulas up to a size bound,
-# enumerated directly over formula trees (no closure machinery shared with
-# the implementation under test).
-# ---------------------------------------------------------------------------
-
-def brute_force_vectors(algebra, k, max_size):
-    grid = list(product(range(algebra.size), repeat=k))
-    by_size = {1: {tuple(v[d] for v in grid) for d in range(k)}}
-    known = set(by_size[1])
-    for size in range(2, max_size + 1):
-        fresh = set()
-        for vec in by_size.get(size - 1, ()):
-            fresh.add(tuple(algebra.neg[x] for x in vec))
-        for lsize in range(1, size - 1):
-            rsize = size - 1 - lsize
-            for lv in by_size.get(lsize, ()):
-                for rv in by_size.get(rsize, ()):
-                    for table in (algebra.meet, algebra.join, algebra.fusion):
-                        fresh.add(tuple(table[x][y] for x, y in zip(lv, rv)))
-        by_size[size] = fresh
-        known |= fresh
-    return known
 
 
 # Expected vectors for the one-generator Boolean case, written out by hand:
@@ -130,16 +106,22 @@ def test_free_algebra_caps():
     with pytest.raises(CapExceeded):
         free_algebra(C, 4)  # 6^4 coordinates exceed the default grid cap
     with pytest.raises(CapExceeded):
-        free_algebra(C, 1, element_cap=10)
+        FreeAlgebra(C, 1, element_cap=10).freeze()
 
 
 def test_interpolant_caps_hold_on_a_warm_cache():
     gamma, alpha = [parse_formula("~q & p")], parse_formula("~q | r")
     assert maehara_interpolant([], gamma, alpha, [C]).delta == Not(Var("q"))
     with pytest.raises(CapExceeded):
-        maehara_interpolant([], gamma, alpha, [C], coordinate_cap=5)
-    with pytest.raises(CapExceeded):
         maehara_interpolant([], gamma, alpha, [C], element_cap=1)
+
+
+def test_interpolant_coordinate_cap_holds_at_its_default():
+    # four shared crystal variables need 6^4 = 1296 > 216 coordinates
+    gamma = [parse_formula("p & q & r & s")]
+    alpha = parse_formula("p | q | r | s")
+    with pytest.raises(CapExceeded):
+        maehara_interpolant([], gamma, alpha, [C])
 
 
 # ---------------------------------------------------------------------------

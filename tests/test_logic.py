@@ -6,6 +6,7 @@ from relog.algebra import arrow, builtin_belnap_m, builtin_boolean2, builtin_cry
 from relog.errors import ParseError, SizeCapExceeded, UnboundVariable
 from relog.interp import vsp_scan
 from relog.logic import (
+    MAX_FORMULA_DEPTH,
     And,
     Fuse,
     Not,
@@ -56,6 +57,34 @@ def test_parse_error_has_position():
         parse_formula("p -> )q")
     with pytest.raises(ParseError):
         parse_formula("P")  # upper case is not in the grammar
+
+
+def test_nesting_at_the_depth_limit_parses_and_evaluates():
+    a = C.el("a")  # a = ~a = a & a = a -> a
+    for text in (
+        "~" * MAX_FORMULA_DEPTH + "p",
+        "(" * MAX_FORMULA_DEPTH + "p" + ")" * MAX_FORMULA_DEPTH,
+        " & ".join(["p"] * (MAX_FORMULA_DEPTH + 1)),  # left-deep chain
+        "(" * (MAX_FORMULA_DEPTH - 3) + "p -> p" + ")" * (MAX_FORMULA_DEPTH - 3),
+    ):
+        formula = parse_formula(text)
+        assert parse_formula(str(formula)) == formula
+        assert hash(formula) == hash(parse_formula(text))
+        assert evaluate(C, {"p": a}, formula) == a
+
+
+@pytest.mark.parametrize("text", [
+    "~" * (MAX_FORMULA_DEPTH + 1) + "p",
+    "(" * (MAX_FORMULA_DEPTH + 1) + "p" + ")" * (MAX_FORMULA_DEPTH + 1),
+    " & ".join(["p"] * (MAX_FORMULA_DEPTH + 2)),
+    " -> ".join(["p"] * (MAX_FORMULA_DEPTH // 3 + 2)),
+    "~" * 3000 + "p",
+    "(" * 600 + "p" + ")" * 600,
+], ids=["neg", "parens", "chain", "arrows", "neg-3000", "parens-600"])
+def test_nesting_past_the_depth_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        parse_formula(text)
+    assert info.value.position is not None
 
 
 def test_parse_premises():
@@ -194,8 +223,10 @@ def test_mingle_fails_over_both_maximal_algebras():
 
 
 def test_valuation_cap():
+    # 6^10 valuations, over the default cap of 10^7
+    ten_variables = parse_formula(" | ".join(f"p{i}" for i in range(10)))
     with pytest.raises(SizeCapExceeded):
-        entails([C], [], parse_formula("p | q"), cap=10)
+        theorem([C], ten_variables)
 
 
 def test_entails_monotone_reflexive_cut():

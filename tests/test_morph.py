@@ -7,8 +7,10 @@ from relog.algebra import (
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
+    power,
     subalgebra,
 )
+from relog.errors import SizeCapExceeded
 from relog.morph import (
     Amalgam,
     Span,
@@ -47,6 +49,12 @@ def test_endomorphisms_of_crystal():
     assert identity_morphism(C) in homs
     # maps come out lexicographically ordered
     assert [h.mapping for h in homs] == sorted(h.mapping for h in homs)
+
+
+def test_morphism_search_cap():
+    # 128 * 64 = 8192 source-target pairs, over the default cap of 4096
+    with pytest.raises(SizeCapExceeded):
+        homomorphisms(power(B2, 7), power(B2, 6))
 
 
 def test_all_returned_morphisms_preserve_operations():
@@ -231,3 +239,15 @@ def test_not_found_is_a_value():
         )
         assert result.amalgam is None or result.amalgam.commutes()
         assert result.targets_tried >= 1
+
+
+def test_amalgam_search_refuses_a_power_past_the_subuniverse_cap():
+    # The span n2 <- n3, p3 -> p2 has no amalgam among the subalgebras of
+    # belnap-m; the next candidates would be those of belnap-m^2, 64 elements.
+    apex = subalgebra(M, (M.el("n3"), M.el("p3")))
+    chain = subalgebra(M, tuple(M.el(e) for e in ("n3", "n2", "p2", "p3")))
+    legs = {leg.mapping: leg for leg in embeddings(apex, chain)}
+    span = Span(legs[(0, 3)], legs[(1, 2)])
+    assert not amalgamate_span(span, mode="AP", generator=M, power_bound=1).found
+    with pytest.raises(SizeCapExceeded):
+        amalgamate_span(span, mode="AP", generator=M, power_bound=2)

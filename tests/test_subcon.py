@@ -88,6 +88,8 @@ def test_every_subuniverse_is_closed():
 def test_subuniverse_cap():
     with pytest.raises(SizeCapExceeded):
         all_subuniverses(C, cap=3)
+    with pytest.raises(SizeCapExceeded):
+        all_subuniverses(power(B2, 5))  # 32 elements, over the default of 24
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +183,8 @@ CONGRUENCE_ORACLE_CASES = {
     "builtins": lambda: [C, M, B2],
     "Sub(crystal)": lambda: [subalgebra(C, s) for s in all_subuniverses(C) if s],
     "Sub(belnap-m)": lambda: [subalgebra(M, s) for s in all_subuniverses(M) if s],
-    "HS(crystal)": lambda: hs_class(C, include_trivial=True),
-    "HS(belnap-m)": lambda: hs_class(M, include_trivial=True),
+    "HS(crystal)": lambda: hs_class(C) + [quotient(C, full_congruence(C))],
+    "HS(belnap-m)": lambda: hs_class(M) + [quotient(M, full_congruence(M))],
     "boolean2^3": lambda: [power(B2, 3)],
     "crystal x boolean2": lambda: [direct_product([C, B2])],
     "crystal^2": lambda: [power(C, 2)],
@@ -250,6 +252,11 @@ def test_square_of_boolean2_is_not_fsi():
     sq = power(B2, 2)
     assert not is_simple(sq)
     assert not is_fsi(sq)
+
+
+def test_congruence_lattice_cap():
+    with pytest.raises(SizeCapExceeded):
+        congruence_lattice(power(B2, 7))  # 128 elements, over the default of 100
 
 
 def test_not_a_congruence_raises():
