@@ -54,6 +54,7 @@ class FiniteAlgebra:
             tuple(self.meet[x][y] == x for y in range(n)) for x in range(n)
         )
         self._designated = None
+        self._binary_tables = None
         self._hash = hash(self.table_key())
 
     @property
@@ -81,6 +82,24 @@ class FiniteAlgebra:
 
     def is_designated(self, x):
         return x in self.designated
+
+    @property
+    def binary_tables(self):
+        """(table, transpose, commutative) for meet, join and fusion, in that order.
+
+        Row x of the transpose lists every product with x as right argument.
+        A commutative table is its own transpose, the same object, so callers
+        that visit both argument positions can skip the second.  Built once,
+        on first use.
+        """
+        if self._binary_tables is None:
+            triples = []
+            for table in (self.meet, self.join, self.fusion):
+                transpose = tuple(zip(*table))
+                commutative = transpose == table
+                triples.append((table, table if commutative else transpose, commutative))
+            self._binary_tables = tuple(triples)
+        return self._binary_tables
 
     def table_key(self):
         """Hashable identity of the element list and the four tables."""

@@ -13,7 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import getitem
 
 from .algebra import arrow, product as direct_product
 from .errors import (
@@ -51,7 +53,10 @@ class FreeAlgebra:
 
     Elements are discovered lazily; `freeze()` drains the queue and fixes the
     exact element count.  Discovery order is deterministic: by representative
-    size, ties by insertion.
+    size, ties by insertion.  Products are built from precomputed table rows,
+    and a commutative table's product is pushed once, not in both argument
+    orders; the skipped push could never enter the heap, so discovery order,
+    sizes and parents are unchanged.
     """
 
     def __init__(self, base, k, coordinate_cap=DEFAULT_COORDINATE_CAP,
@@ -76,6 +81,7 @@ class FreeAlgebra:
         self._counter = 0
         self._heap = []
         self._best = {}
+        self._tables = tuple(zip(_BINARY_OPS, base.binary_tables))
         grid = list(product(range(base.size), repeat=k))
         for d in range(k):
             vector = tuple(val[d] for val in grid)
@@ -92,13 +98,14 @@ class FreeAlgebra:
         heapq.heappush(self._heap, (size, self._counter, vector, parent))
 
     def _pop_next(self):
-        """Admit the next new element; returns its id or None when closed."""
-        neg = self.base.neg
-        tables = {
-            "and": self.base.meet,
-            "or": self.base.join,
-            "fuse": self.base.fusion,
-        }
+        """Admit the next new element; returns its id or None when closed.
+
+        `map` builds each product in C from the rows that the new vector's
+        coordinates select.  A commutative table's mirrored product
+        (new, other) would repeat (other, new) at the same size, and `_push`
+        would drop it, so it is not built.
+        """
+        push = self._push
         while self._heap:
             size, _, vector, parent = heapq.heappop(self._heap)
             if vector in self.index:
@@ -113,21 +120,24 @@ class FreeAlgebra:
             self.vectors.append(vector)
             self.sizes.append(size)
             self.parents.append(parent)
-            self._push(tuple(neg[v] for v in vector), size + 1, (_UNARY, new_id, None))
-            for other_id in range(new_id + 1):
-                ovec = self.vectors[other_id]
-                osize = self.sizes[other_id]
-                for op in _BINARY_OPS:
-                    table = tables[op]
-                    if other_id != new_id:
-                        self._push(
-                            tuple(table[u][v] for u, v in zip(ovec, vector)),
-                            osize + size + 1, (op, other_id, new_id),
-                        )
-                    self._push(
-                        tuple(table[u][v] for u, v in zip(vector, ovec)),
-                        size + osize + 1, (op, new_id, other_id),
-                    )
+            push(tuple(map(self.base.neg.__getitem__, vector)), size + 1,
+                 (_UNARY, new_id, None))
+            # right_rows[i][w] = table[w][vector[i]] and left_rows[i][w] =
+            # table[vector[i]][w]; None when the table commutes.
+            lanes = [
+                (op, [transpose[u] for u in vector],
+                 None if commutative else [table[u] for u in vector])
+                for op, (table, transpose, commutative) in self._tables
+            ]
+            for other_id, (ovec, osize) in enumerate(zip(self.vectors, self.sizes)):
+                joint = osize + size + 1
+                for op, right_rows, left_rows in lanes:
+                    if left_rows is None or other_id != new_id:
+                        push(tuple(map(getitem, right_rows, ovec)), joint,
+                             (op, other_id, new_id))
+                    if left_rows is not None:
+                        push(tuple(map(getitem, left_rows, ovec)), joint,
+                             (op, new_id, other_id))
             return new_id
         self.closed = True
         return None
@@ -186,15 +196,9 @@ def free_algebra(base, k):
     return FreeAlgebra(base, k).freeze()
 
 
-_FREE_CACHE = {}
-
-
+@lru_cache(maxsize=16)
 def _shared_free_algebra(base, k, element_cap):
-    key = (base, k, element_cap)
-    cached = _FREE_CACHE.get(key)
-    if cached is None:
-        cached = _FREE_CACHE[key] = FreeAlgebra(base, k, element_cap=element_cap)
-    return cached
+    return FreeAlgebra(base, k, element_cap=element_cap)
 
 
 # ---------------------------------------------------------------------------

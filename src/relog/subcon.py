@@ -52,18 +52,16 @@ class Congruence:
         a = self.algebra
         bo = self.block_of
         n = a.size
+        sides = _translation_tables(a)
         for x in range(n):
             for y in range(n):
                 if bo[x] != bo[y]:
                     continue
                 if bo[a.neg[x]] != bo[a.neg[y]]:
                     return False
-                for w in range(n):
-                    for table in (a.meet, a.join, a.fusion):
-                        if bo[table[x][w]] != bo[table[y][w]]:
-                            return False
-                        if bo[table[w][x]] != bo[table[w][y]]:
-                            return False
+                for table in sides:
+                    if any(bo[u] != bo[v] for u, v in zip(table[x], table[y])):
+                        return False
         return True
 
     def related(self, x, y):
@@ -112,6 +110,16 @@ def full_congruence(algebra):
     return Congruence(algebra, [list(range(algebra.size))], check=False)
 
 
+def _translation_tables(algebra):
+    """Tables whose row x holds every binary product with x as one argument:
+    each binary table, and its transpose unless the table commutes."""
+    return [
+        side
+        for table, transpose, commutative in algebra.binary_tables
+        for side in ((table,) if commutative else (table, transpose))
+    ]
+
+
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -147,21 +155,17 @@ def congruence_from_pairs(algebra, pairs):
     be skipped because their translations followed the chain that merged them.
     """
     a = algebra
-    n = a.size
-    uf = _UnionFind(n)
+    uf = _UnionFind(a.size)
     queue = []
     for x, y in pairs:
         if uf.union(x, y):
             queue.append((x, y))
+    sides = _translation_tables(a)
     while queue:
         x, y = queue.pop()
-        for w in range(n):
-            for table in (a.meet, a.join, a.fusion):
-                u, v = table[x][w], table[y][w]
-                if uf.union(u, v):
-                    queue.append((u, v))
-                u, v = table[w][x], table[w][y]
-                if uf.union(u, v):
+        for table in sides:
+            for u, v in zip(table[x], table[y]):
+                if u != v and uf.union(u, v):
                     queue.append((u, v))
         if uf.union(a.neg[x], a.neg[y]):
             queue.append((a.neg[x], a.neg[y]))
@@ -280,14 +284,13 @@ def _close(algebra, members, frontier):
     way are combined with the members, so a closed base is never recombined.
     """
     a = algebra
+    sides = _translation_tables(a)
     while frontier:
         x = frontier.pop()
         candidates = [a.neg[x]]
-        for table in (a.meet, a.join, a.fusion):
+        for table in sides:
             row = table[x]
-            for y in members:
-                candidates.append(row[y])
-                candidates.append(table[y][x])
+            candidates.extend(row[y] for y in members)
         for c in candidates:
             if c not in members:
                 members.add(c)

@@ -82,6 +82,18 @@ def test_boolean2_arrow_is_material_implication():
         assert arrow(B2, x, y) == (1 if (x == 0 or y == 1) else 0)
 
 
+def test_binary_tables_give_each_transpose_once():
+    for table, transpose, commutative in C.binary_tables:
+        assert commutative and transpose is table
+    implication = [[arrow(B2, x, y) for y in range(2)] for x in range(2)]
+    skew = FiniteAlgebra("b2->", B2.elements, B2.meet, B2.join, implication, B2.neg)
+    (_, meet_t, meet_c), _, (fusion, fusion_t, fusion_c) = skew.binary_tables
+    assert meet_c and meet_t is skew.meet
+    assert not fusion_c
+    assert all(fusion_t[y][x] == fusion[x][y] for x, y in product(range(2), repeat=2))
+    assert skew.binary_tables is skew.binary_tables
+
+
 # ---------------------------------------------------------------------------
 # Axiom checklist
 # ---------------------------------------------------------------------------

@@ -3,14 +3,23 @@ from itertools import product
 
 import pytest
 
-from relog.algebra import builtin_belnap_m, builtin_boolean2, builtin_crystal
+from relog.algebra import (
+    FiniteAlgebra,
+    builtin_belnap_m,
+    builtin_boolean2,
+    builtin_crystal,
+    power,
+    product as direct_product,
+)
 from relog.errors import (
     CapExceeded,
     NoSharedVariables,
     NotEntailed,
 )
 from relog.interp import (
+    DEFAULT_FREE_ELEMENT_CAP,
     FreeAlgebra,
+    _shared_free_algebra,
     deductive_interpolant,
     free_algebra,
     maehara_interpolant,
@@ -26,7 +35,14 @@ from relog.logic import (
     parse_formula,
     parse_premises,
 )
-from tests_oracle_helper import brute_force_vectors
+from tests_oracle_helper import (
+    IMPLICATION_FUSION,
+    LEFT_BLIND_MEET,
+    NOT_A_LATTICE,
+    ReferenceFreeAlgebra,
+    brute_force_vectors,
+    closure_state,
+)
 
 C = builtin_crystal()
 B2 = builtin_boolean2()
@@ -107,6 +123,51 @@ def test_free_algebra_caps():
         free_algebra(C, 4)  # 6^4 coordinates exceed the default grid cap
     with pytest.raises(CapExceeded):
         FreeAlgebra(C, 1, element_cap=10).freeze()
+
+
+# (base, generators, elements to grow to, or None to close)
+REFERENCE_CLOSURE_CASES = {
+    "crystal, 2 generators, to 300": lambda: (C, 2, 300),
+    "boolean2, 3 generators": lambda: (B2, 3, None),
+    "crystal": lambda: (C, 1, None),
+    "belnap-m": lambda: (M, 1, None),
+    "right-projection meet": lambda: (NOT_A_LATTICE, 1, None),
+    "right-projection meet, 2 generators": lambda: (NOT_A_LATTICE, 2, None),
+    "implication fusion, 2 generators": lambda: (IMPLICATION_FUSION, 2, None),
+    "left-blind meet": lambda: (LEFT_BLIND_MEET, 1, None),
+    "384-element product, to 50": lambda: (
+        direct_product([C, M, power(B2, 3)]), 1, 50),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CLOSURE_CASES)
+def test_free_algebra_matches_reference_closure(case):
+    base, k, grown = REFERENCE_CLOSURE_CASES[case]()
+
+    def state(cls):
+        fa = cls(base, k, coordinate_cap=base.size ** k)
+        if grown is None:
+            fa.freeze()
+        else:
+            assert fa.ensure(grown - 1)
+        return closure_state(fa)
+
+    assert state(FreeAlgebra) == state(ReferenceFreeAlgebra)
+
+
+def test_shared_free_algebra_cache_is_bounded():
+    _shared_free_algebra.cache_clear()
+    bases = [
+        FiniteAlgebra(f"b{i}", (f"x{i}", f"y{i}"), B2.meet, B2.join, B2.fusion, B2.neg)
+        for i in range(17)
+    ]
+    cold = [_shared_free_algebra(base, 1, DEFAULT_FREE_ELEMENT_CAP) for base in bases]
+    assert _shared_free_algebra.cache_info().currsize == 16
+    assert _shared_free_algebra(bases[-1], 1, DEFAULT_FREE_ELEMENT_CAP) is cold[-1]
+    assert _shared_free_algebra(bases[0], 1, DEFAULT_FREE_ELEMENT_CAP) is not cold[0]
+    with pytest.raises(CapExceeded):
+        _shared_free_algebra(C, 4, DEFAULT_FREE_ELEMENT_CAP)
+    assert _shared_free_algebra.cache_info().currsize == 16
 
 
 def test_interpolant_caps_hold_on_a_warm_cache():

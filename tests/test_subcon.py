@@ -4,7 +4,6 @@ import pytest
 
 from relog import subcon
 from relog.algebra import (
-    FiniteAlgebra,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
@@ -32,7 +31,12 @@ from relog.subcon import (
     principal_congruence,
 )
 from tests_oracle_helper import (
+    IMPLICATION_FUSION,
+    LEFT_BLIND_MEET,
+    NOT_A_LATTICE,
+    SKEW_MEET,
     brute_force_congruence_lattice,
+    brute_force_principal_congruences,
     is_closed,
     powerset_subuniverses,
 )
@@ -66,7 +70,12 @@ def test_generated_subuniverse_singletons():
     assert generated_subuniverse(C, set()) == ()
 
 
-@pytest.mark.parametrize("algebra", [C, B2, M, power(B2, 3)], ids=lambda a: a.name)
+@pytest.mark.parametrize(
+    "algebra",
+    [C, B2, M, power(B2, 3), NOT_A_LATTICE, IMPLICATION_FUSION, LEFT_BLIND_MEET,
+     SKEW_MEET],
+    ids=lambda a: a.name,
+)
 def test_all_subuniverses_matches_powerset_oracle(algebra):
     assert all_subuniverses(algebra) == powerset_subuniverses(algebra)
 
@@ -171,14 +180,6 @@ def test_congruence_join_is_least_upper_bound():
                 assert joined.related(x, y)
 
 
-# boolean2^2 with meet replaced by the right projection x meet y = y.  Meet is
-# not commutative, and its order has no covering pair, though the kernels of
-# the two coordinate projections are congruences.
-_B2_SQUARE = power(B2, 2)
-NOT_A_LATTICE = FiniteAlgebra("boolean2^2~", _B2_SQUARE.elements,
-                              [range(4)] * 4, _B2_SQUARE.join, _B2_SQUARE.fusion,
-                              _B2_SQUARE.neg)
-
 CONGRUENCE_ORACLE_CASES = {
     "builtins": lambda: [C, M, B2],
     "Sub(crystal)": lambda: [subalgebra(C, s) for s in all_subuniverses(C) if s],
@@ -197,6 +198,16 @@ def test_congruence_lattice_matches_all_pairs_oracle(case):
     for algebra in CONGRUENCE_ORACLE_CASES[case]():
         assert congruence_lattice(algebra) == brute_force_congruence_lattice(algebra), \
             algebra.name
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [C, M, B2, NOT_A_LATTICE, IMPLICATION_FUSION, LEFT_BLIND_MEET, SKEW_MEET],
+    ids=lambda a: a.name,
+)
+def test_principal_congruence_matches_partition_oracle(algebra):
+    for (x, y), labels in brute_force_principal_congruences(algebra).items():
+        assert principal_congruence(algebra, x, y).block_of == labels, (x, y)
 
 
 def _count_principal_congruences(monkeypatch, algebra):
