@@ -247,8 +247,9 @@ def _cmd_amalgamate(args):
         verdict = "found" if failures == 0 else "not-found"
         return _report(
             "amalgamate", verdict, 0 if failures == 0 else 1,
-            data={"spans": spans, "failures": failures},
-        ), [f"{spans} spans, {failures} without amalgam"]
+            data={"spans": spans, "failures": failures, "bound": args.bound},
+        ), [f"{spans} spans, {failures} without amalgam within power bound "
+            f"{args.bound}"]
 
     if not (args.apex and args.left and args.right):
         raise UsageError("amalgamate needs --apex, --left and --right (or --all-spans)")
@@ -370,7 +371,7 @@ def _cmd_interpolate(args):
 
 def _cmd_vsp_scan(args):
     algebra = _resolve_algebra(args.algebra)
-    violations = vsp_scan([algebra], args.bound)
+    violations = vsp_scan(algebra, args.bound)
     data = {
         "algebra": algebra.name,
         "bound": args.bound,
@@ -445,62 +446,69 @@ def build_parser():
         description="Workbench for finite algebras in the signature of relevant logic.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
+    # --format may also follow the subcommand; unset there, it keeps the
+    # value parsed before it.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, **kwargs):
+        return sub.add_parser(name, parents=[fmt], **kwargs)
 
     def with_algebra(p):
         p.add_argument("--algebra", default="crystal",
                        help="builtin name (crystal, belnap-m, boolean2) or .alg file")
         return p
 
-    with_algebra(sub.add_parser("validate", help="run the axiom checklist"))
+    with_algebra(command("validate", help="run the axiom checklist"))
 
-    p = with_algebra(sub.add_parser("subalgebras", help="enumerate subuniverses"))
+    p = with_algebra(command("subalgebras", help="enumerate subuniverses"))
     p.add_argument("--proper", action="store_true",
                    help="exclude the full universe")
     p.add_argument("--include-empty", action="store_true")
 
-    with_algebra(sub.add_parser("congruences", help="list the congruence lattice"))
+    with_algebra(command("congruences", help="list the congruence lattice"))
 
-    p = with_algebra(sub.add_parser("check", help="decide a property"))
+    p = with_algebra(command("check", help="decide a property"))
     p.add_argument("--property", required=True,
                    choices=("simple", "fsi", "extensible", "cep"))
 
-    p = sub.add_parser("homs", help="enumerate homomorphisms")
+    p = command("homs", help="enumerate homomorphisms")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--kind", choices=("hom", "embedding", "isomorphism"),
                    default="hom")
 
-    with_algebra(sub.add_parser("autos", help="enumerate automorphisms"))
+    with_algebra(command("autos", help="enumerate automorphisms"))
 
-    p = with_algebra(sub.add_parser("amalgamate", help="search for an amalgam"))
+    p = with_algebra(command("amalgamate", help="search for an amalgam"))
     p.add_argument("--apex", help="comma-separated elements of the apex subalgebra")
     p.add_argument("--left", help="elements of the left subalgebra")
     p.add_argument("--right", help="elements of the right subalgebra")
     p.add_argument("--map-left", default="", help="pins like a:b for the left leg")
     p.add_argument("--map-right", default="", help="pins for the right leg")
     p.add_argument("--mode", choices=("AP", "TIP"), default="AP")
-    p.add_argument("--bound", type=int, default=2, help="power-exponent bound")
+    p.add_argument("--bound", type=int, default=1, help="power-exponent bound")
     p.add_argument("--all-spans", action="store_true",
                    help="sweep every span among nontrivial subalgebras")
 
-    p = with_algebra(sub.add_parser("entails", help="decide a consequence"))
+    p = with_algebra(command("entails", help="decide a consequence"))
     p.add_argument("--premises", default="")
     p.add_argument("--conclusion", required=True)
     p.add_argument("--use-hs-class", action="store_true",
                    help="check over the whole HS class instead of the single algebra")
 
-    p = with_algebra(sub.add_parser("interpolate", help="synthesize an interpolant"))
+    p = with_algebra(command("interpolate", help="synthesize an interpolant"))
     p.add_argument("--sigma", default="")
     p.add_argument("--gamma")
     p.add_argument("--alpha")
     p.add_argument("--problem", help="JSON file with sigma/gamma/alpha")
     p.add_argument("--cap-elements", type=int)
 
-    p = with_algebra(sub.add_parser("vsp-scan", help="bounded variable-sharing scan"))
+    p = with_algebra(command("vsp-scan", help="bounded variable-sharing scan"))
     p.add_argument("--bound", type=int, default=4)
 
-    p = with_algebra(sub.add_parser("free-algebra", help="free algebra closure"))
+    p = with_algebra(command("free-algebra", help="free algebra closure"))
     p.add_argument("--generators", type=int, default=1)
     p.add_argument("--cap-elements", type=int,
                    help="element budget for the closure (default 20000 here)")
@@ -508,8 +516,7 @@ def build_parser():
     p.add_argument("--sample", type=int, default=10,
                    help="how many representatives to print")
 
-    p = sub.add_parser("reproduce",
-                       help="run the full claims suite with stable item ids")
+    p = command("reproduce", help="run the full claims suite with stable item ids")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--bound", type=int, default=4)

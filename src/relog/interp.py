@@ -11,19 +11,17 @@ search in discovery order returns minimal-size interpolants.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import getitem
 
-from .algebra import arrow, product as direct_product
+from .algebra import arrow
 from .errors import (
     CapExceeded,
     InterpolantNotFound,
     NoSharedVariables,
     NotEntailed,
-    SizeCapExceeded,
 )
 from .logic import (
     And,
@@ -34,13 +32,12 @@ from .logic import (
     Or,
     Var,
     arrow_formula,
+    designating_valuations,
     entails,
-    evaluate,
 )
 
 DEFAULT_COORDINATE_CAP = 216     # valuation-grid width: 6**3
 DEFAULT_FREE_ELEMENT_CAP = 10**6
-VSP_PRODUCT_CAP = 1024           # product elements; its tables hold 3 * 1024**2 entries
 
 _GENERATOR = "gen"
 _UNARY = "neg"
@@ -243,17 +240,20 @@ def _variables(formulas):
     return out
 
 
-def _shared_valuation_indices(scope_vars, shared, base_size):
-    """Map each valuation over `scope_vars` to the index of its restriction to
-    `shared` in the free algebra's valuation grid (lexicographic, sorted names)."""
-    positions = [scope_vars.index(v) for v in shared]
-    indices = []
-    for assignment in product(range(base_size), repeat=len(scope_vars)):
+def _interpolant_masks(algebra, sigma, gamma, alpha, shared):
+    """The points of the valuation grid over `shared` (C order over the sorted
+    names) where a candidate must be designated, for gamma |- delta, and where
+    it must not be, for sigma, delta |- alpha."""
+    n = algebra.size
+
+    def grid_index(valuation):
         idx = 0
-        for p in positions:
-            idx = idx * base_size + assignment[p]
-        indices.append((assignment, idx))
-    return indices
+        for name in shared:
+            idx = idx * n + valuation[name]
+        return idx
+
+    return ({grid_index(v) for v in designating_valuations(algebra, gamma)},
+            {grid_index(v) for v in designating_valuations(algebra, sigma, alpha)})
 
 
 def maehara_interpolant(sigma, gamma, alpha, algebras,
@@ -282,26 +282,10 @@ def maehara_interpolant(sigma, gamma, alpha, algebras,
         )
     generator = algebras[0]
     fa = _shared_free_algebra(generator, len(shared), element_cap)
-    n = generator.size
     is_designated = generator.is_designated
-
-    # Precompute, once per problem, which shared-valuation grid points the
-    # candidate must designate (for gamma |- delta) and which it must not
-    # (for sigma, delta |- alpha).  A vector is an interpolant iff it is
-    # designated on all of `required` and undesignated on all of `forbidden`.
-    gamma_scope = sorted(_variables(gamma) | set(shared))
-    required = set()
-    for assignment, idx in _shared_valuation_indices(gamma_scope, shared, n):
-        valuation = dict(zip(gamma_scope, assignment))
-        if all(is_designated(evaluate(generator, valuation, g)) for g in gamma):
-            required.add(idx)
-    alpha_scope = sorted(_variables(sigma) | alpha.variables() | set(shared))
-    forbidden = set()
-    for assignment, idx in _shared_valuation_indices(alpha_scope, shared, n):
-        valuation = dict(zip(alpha_scope, assignment))
-        if all(is_designated(evaluate(generator, valuation, s)) for s in sigma) \
-                and not is_designated(evaluate(generator, valuation, alpha)):
-            forbidden.add(idx)
+    # A vector is an interpolant over `generator` iff it is designated on all
+    # of `required` and undesignated on all of `forbidden`.
+    required, forbidden = _interpolant_masks(generator, sigma, gamma, alpha, shared)
 
     scanned = 0
     for element_id in fa.iter_discovery():
@@ -360,31 +344,21 @@ class VspViolation:
         return f"VspViolation({self.antecedent} -> {self.consequent})"
 
 
-def vsp_scan(algebras, size_bound=4):
+def vsp_scan(algebra, size_bound=4):
     """Hunt for theorems alpha -> beta with var(alpha)={p}, var(beta)={q}.
 
     The candidates on each side are the classes of the one-generator free
-    algebra of the direct product of `algebras` whose minimal representatives
-    have at most `size_bound` tree nodes; V(A x B) = V(A, B), and a product
-    element is designated iff every coordinate is.  Returns every pair whose
-    implication is designated under all valuations, in discovery order.  A
-    logic with the variable sharing property yields no violations.
-
-    Repeated algebras are dropped, but the cost still grows with the product
-    of the remaining sizes: the product's tables are size x size and each
-    class is a vector as wide as the product.  A product over
-    VSP_PRODUCT_CAP elements raises SizeCapExceeded; HS(crystal), 720
-    elements, takes seconds, and HS(belnap-m), 4608, is refused.
+    algebra of `algebra` whose minimal representatives have at most
+    `size_bound` tree nodes.  Returns every pair whose implication is
+    designated under all valuations, in discovery order.  A logic with the
+    variable sharing property yields no violations.  To scan the logic of a
+    class of algebras, pass their product, `vsp_scan(product([A, B]))`:
+    V(A x B) = V(A, B), and a product element is designated iff every
+    coordinate is.  The cost is quadratic in the size of `algebra`, whose
+    tables the caller already holds.
     """
-    factors = list({a.table_key(): a for a in algebras}.values())
-    size = math.prod(a.size for a in factors)
-    if size > VSP_PRODUCT_CAP:
-        raise SizeCapExceeded(
-            f"VSP scan over {len(factors)} algebras needs a product of {size} "
-            f"elements (cap {VSP_PRODUCT_CAP})"
-        )
-    base = direct_product(factors)
-    fa = FreeAlgebra(base, 1, coordinate_cap=size)
+    size = algebra.size
+    fa = FreeAlgebra(algebra, 1, coordinate_cap=size)
     classes = []
     for element_id in fa.iter_discovery():
         if fa.sizes[element_id] > size_bound:
@@ -393,7 +367,7 @@ def vsp_scan(algebras, size_bound=4):
     # alpha -> beta is designated everywhere iff every value of beta lies in
     # `theorem_rows[u]` for every value u of alpha.
     theorem_rows = [
-        {y for y in range(size) if base.is_designated(arrow(base, x, y))}
+        {y for y in range(size) if algebra.is_designated(arrow(algebra, x, y))}
         for x in range(size)
     ]
     violations = []

@@ -296,6 +296,31 @@ def verify_countermodel(algebra, valuation, premises, conclusion):
     return not algebra.is_designated(evaluate(algebra, valuation, conclusion))
 
 
+def designating_valuations(algebra, premises, conclusion=None):
+    """Yield each valuation of `algebra` that designates every premise and,
+    when a conclusion is given, leaves the conclusion undesignated.
+
+    Valuations are dicts over the sorted variables of the formulas, walked
+    lazily in lexicographic order.  A grid over DEFAULT_VALUATION_CAP
+    valuations raises SizeCapExceeded.
+    """
+    premises = list(premises)
+    formulas = premises if conclusion is None else premises + [conclusion]
+    variables = sorted(set().union(*[f.variables() for f in formulas]))
+    if algebra.size ** len(variables) > DEFAULT_VALUATION_CAP:
+        raise SizeCapExceeded(
+            f"valuation space {algebra.size}^{len(variables)} exceeds cap "
+            f"{DEFAULT_VALUATION_CAP}"
+        )
+    is_designated = algebra.is_designated
+    for assignment in product(range(algebra.size), repeat=len(variables)):
+        valuation = dict(zip(variables, assignment))
+        if all(is_designated(evaluate(algebra, valuation, p)) for p in premises) and (
+                conclusion is None
+                or not is_designated(evaluate(algebra, valuation, conclusion))):
+            yield valuation
+
+
 def entails(algebras, premises, conclusion):
     """Finitary consequence over a list of algebras.
 
@@ -304,22 +329,9 @@ def entails(algebras, premises, conclusion):
     first algebra in the list, lexicographically least valuation.
     """
     premises = list(premises)
-    variables = sorted(set().union(
-        conclusion.variables(), *[p.variables() for p in premises]
-    ))
     for algebra in algebras:
-        if algebra.size ** len(variables) > DEFAULT_VALUATION_CAP:
-            raise SizeCapExceeded(
-                f"valuation space {algebra.size}^{len(variables)} exceeds cap "
-                f"{DEFAULT_VALUATION_CAP}"
-            )
-        for assignment in product(range(algebra.size), repeat=len(variables)):
-            valuation = dict(zip(variables, assignment))
-            if all(
-                algebra.is_designated(evaluate(algebra, valuation, p))
-                for p in premises
-            ) and not algebra.is_designated(evaluate(algebra, valuation, conclusion)):
-                return EntailmentVerdict(False, Countermodel(algebra, valuation))
+        for valuation in designating_valuations(algebra, premises, conclusion):
+            return EntailmentVerdict(False, Countermodel(algebra, valuation))
     return EntailmentVerdict(True)
 
 

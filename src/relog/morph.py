@@ -347,7 +347,7 @@ def all_spans(algebra):
                         yield Span(left, right)
 
 
-def amalgamate_span(span, mode="AP", generator=None, power_bound=1):
+def amalgamate_span(span, generator, mode="AP", power_bound=1):
     """Search for an amalgam of the span among subalgebras of powers of `generator`.
 
     AP mode needs both legs and both arms injective; TIP mode needs only the
@@ -357,8 +357,6 @@ def amalgamate_span(span, mode="AP", generator=None, power_bound=1):
     """
     if mode not in ("AP", "TIP"):
         raise ValueError("mode must be AP or TIP")
-    if generator is None:
-        generator = span.left.target
     if mode == "AP" and not (span.left.is_embedding and span.right.is_embedding):
         raise ValueError("AP-mode span needs both legs injective")
     if mode == "TIP" and not span.right.is_embedding:

@@ -96,12 +96,12 @@ def random_formula(rng):
             return formula
 
 
-def run_mip_suite(algebras, instances=500, seed=0):
+def run_mip_suite(algebra, instances=500, seed=0):
     """Generate valid interpolation problems and synthesize+verify on each.
 
     An instance is valid when the shared-variable precondition and the
-    entailment precondition both hold; generation continues until `instances`
-    valid ones have been processed.  Returns a stats dict.
+    entailment precondition both hold over `algebra`; generation continues
+    until `instances` valid ones have been processed.  Returns a stats dict.
     """
     rng = random.Random(seed)
     stats = {
@@ -121,7 +121,7 @@ def run_mip_suite(algebras, instances=500, seed=0):
         gamma = [random_formula(rng) for _ in range(1 + rng.randrange(2))]
         alpha = random_formula(rng)
         try:
-            result = maehara_interpolant(sigma, gamma, alpha, algebras)
+            result = maehara_interpolant(sigma, gamma, alpha, [algebra])
         except (NoSharedVariables, NotEntailed):
             continue
         except CapExceeded:
@@ -135,7 +135,7 @@ def run_mip_suite(algebras, instances=500, seed=0):
             stats["deductive"] += 1
         stats["max_scanned"] = max(stats["max_scanned"], result.scanned)
         stats["max_delta_size"] = max(stats["max_delta_size"], result.delta_size)
-        transcript = verify_interpolant(sigma, gamma, alpha, result.delta, algebras)
+        transcript = verify_interpolant(sigma, gamma, alpha, result.delta, [algebra])
         if transcript.ok:
             stats["verified"] += 1
         else:
@@ -215,7 +215,7 @@ def _item_amalgamation():
 
 
 def _item_vsp(algebra, bound, expect_empty):
-    violations = vsp_scan([algebra], bound)
+    violations = vsp_scan(algebra, bound)
     if expect_empty:
         return not violations, f"{len(violations)} violations at bound {bound}"
     found = {(str(v.antecedent), str(v.consequent)) for v in violations}
@@ -224,7 +224,7 @@ def _item_vsp(algebra, bound, expect_empty):
 
 
 def _item_mip(instances, seed):
-    stats = run_mip_suite([builtin_crystal()], instances=instances, seed=seed)
+    stats = run_mip_suite(builtin_crystal(), instances=instances, seed=seed)
     ok = (
         stats["verified"] == stats["instances"] == instances
         and stats["cap_exceeded"] == 0

@@ -153,16 +153,16 @@ def test_criterion_5_amalgamation_of_all_spans():
 
 def test_criterion_6_vsp_scans():
     with Criterion(6, "VSP scans: crystal/belnap-m clean, boolean2 explodes", 120.0):
-        assert vsp_scan([C], 4) == []
-        assert vsp_scan([M], 4) == []
-        violations = vsp_scan([B2], 4)
+        assert vsp_scan(C, 4) == []
+        assert vsp_scan(M, 4) == []
+        violations = vsp_scan(B2, 4)
         found = {(str(v.antecedent), str(v.consequent)) for v in violations}
         assert ("p & ~p", "q") in found
 
 
 def test_criterion_7_interpolation_property_suite():
     with Criterion(7, "seeded interpolation suite, 500 instances, 100%", 600.0):
-        stats = run_mip_suite([C], instances=500, seed=20250808)
+        stats = run_mip_suite(C, instances=500, seed=20250808)
         assert stats["instances"] == 500
         assert stats["verified"] == 500
         assert stats["cap_exceeded"] == 0

@@ -194,6 +194,16 @@ def test_amalgam_search_past_the_subuniverse_cap_is_an_engine_error(capsys):
     assert report["data"]["error"] == "SizeCapExceeded"
 
 
+def test_amalgamate_all_spans_defaults_to_bound_one(capsys):
+    # bound 1 searches belnap-m alone; its square is over the subuniverse cap
+    code, out, _ = run_cli(capsys, "amalgamate", "--algebra", "belnap-m", "--all-spans")
+    assert code == 1
+    assert out == "799 spans, 216 without amalgam within power bound 1\n"
+    code, report = run_json(capsys, "amalgamate", "--algebra", "belnap-m", "--all-spans")
+    assert code == 1
+    assert report["data"] == {"spans": 799, "failures": 216, "bound": 1}
+
+
 def test_formula_at_the_depth_limit_is_decided(capsys):
     depth = MAX_FORMULA_DEPTH - 3  # p -> p is ~(p * ~p), three levels
     code, report = run_json(capsys, "entails", "--conclusion",
@@ -261,6 +271,19 @@ def test_json_reports_validate_against_schema(capsys):
         assert report["exit_code"] == code
 
 
+@pytest.mark.parametrize("argv", [
+    ("--format", "json", "entails", "--conclusion", "p -> p"),
+    ("entails", "--conclusion", "p -> p", "--format", "json"),
+], ids=["before-subcommand", "after-subcommand"])
+def test_format_parses_on_either_side_of_the_subcommand(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "entails", "verdict": "holds", "exit_code": 0,
+        "data": {"premises": [], "conclusion": "~(p * ~p)"},
+    }
+
+
 def test_text_and_json_verdicts_agree(capsys):
     cases = [
         (["check", "--property", "simple", "--algebra", "crystal"], "holds"),
@@ -316,6 +339,15 @@ def test_belnap_m_with_missing_data_dir(capsys, monkeypatch, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--algebra", "belnap-m")
     assert code == 2
     assert "DataFileMissing" in err or "not found" in err
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import relog.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_module_entry_point_subprocess():

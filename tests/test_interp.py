@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from relog.errors import (
 from relog.interp import (
     DEFAULT_FREE_ELEMENT_CAP,
     FreeAlgebra,
+    _interpolant_masks,
     _shared_free_algebra,
     deductive_interpolant,
     free_algebra,
@@ -35,6 +37,7 @@ from relog.logic import (
     parse_formula,
     parse_premises,
 )
+from relog.reproduce import random_formula
 from tests_oracle_helper import (
     IMPLICATION_FUSION,
     LEFT_BLIND_MEET,
@@ -42,6 +45,7 @@ from tests_oracle_helper import (
     ReferenceFreeAlgebra,
     brute_force_vectors,
     closure_state,
+    reference_interpolant_masks,
 )
 
 C = builtin_crystal()
@@ -188,6 +192,41 @@ def test_interpolant_coordinate_cap_holds_at_its_default():
 # ---------------------------------------------------------------------------
 # Interpolation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("algebra", [C, M], ids=["crystal", "belnap-m"])
+def test_interpolant_masks_match_reference(algebra):
+    """The masks from the lazy sweep equal the whole-grid listing on seeded
+    problems of the reproduce suite's shape."""
+    rng = random.Random(20250808)
+    compared = 0
+    while compared < 120:
+        sigma = [random_formula(rng) for _ in range(rng.randrange(3))]
+        gamma = [random_formula(rng) for _ in range(1 + rng.randrange(2))]
+        alpha = random_formula(rng)
+        shared = tuple(sorted(
+            set(alpha.variables()).union(*[f.variables() for f in sigma])
+            & set().union(*[f.variables() for f in gamma])))
+        if not shared:
+            continue
+        compared += 1
+        assert _interpolant_masks(algebra, sigma, gamma, alpha, shared) == \
+            reference_interpolant_masks(algebra, sigma, gamma, alpha, shared)
+
+
+def test_interpolant_masks_do_not_hold_the_grid():
+    """Five crystal variables on the gamma side, one shared: the masks walk
+    6^5 valuations without holding them."""
+    gamma = [parse_formula("p & (q0 | q1 | q2 | q3)")]
+    alpha = parse_formula("p")
+    assert maehara_interpolant([], gamma, alpha, [C]).delta == Var("p")
+    tracemalloc.start()
+    try:
+        maehara_interpolant([], gamma, alpha, [C])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2**20
+
 
 def test_maehara_shared_variable_projection():
     result = maehara_interpolant(

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from relog.algebra import arrow, builtin_belnap_m, builtin_boolean2, builtin_crystal
+from relog.algebra import (
+    arrow,
+    builtin_belnap_m,
+    builtin_boolean2,
+    builtin_crystal,
+    product as direct_product,
+)
 from relog.errors import ParseError, SizeCapExceeded, UnboundVariable
 from relog.interp import vsp_scan
 from relog.logic import (
@@ -14,6 +20,7 @@ from relog.logic import (
     R_THEOREM_SCHEMATA,
     Var,
     arrow_formula,
+    designating_valuations,
     entails,
     evaluate,
     parse_formula,
@@ -22,7 +29,7 @@ from relog.logic import (
     verify_countermodel,
 )
 from relog.subcon import hs_class
-from tests_oracle_helper import brute_force_min_sizes
+from tests_oracle_helper import brute_force_designating_valuations, brute_force_min_sizes
 
 C = builtin_crystal()
 B2 = builtin_boolean2()
@@ -227,6 +234,31 @@ def test_valuation_cap():
     ten_variables = parse_formula(" | ".join(f"p{i}" for i in range(10)))
     with pytest.raises(SizeCapExceeded):
         theorem([C], ten_variables)
+    with pytest.raises(SizeCapExceeded):
+        next(designating_valuations(C, [ten_variables]))
+
+
+# (premises, conclusion or None)
+SWEEP_CASES = [
+    ("p", None),
+    ("p, p -> q", None),
+    ("p & ~q, r | s", None),
+    ("", "p -> p"),
+    ("", "p | ~p"),
+    ("p", "q"),
+    ("p, p -> q", "q"),
+    ("q1 | q2, ~r", "(q1 & r) | p"),
+    ("~(p * p)", "p -> (p -> p)"),
+]
+
+
+@pytest.mark.parametrize("algebra", [C, M, B2], ids=["crystal", "belnap-m", "boolean2"])
+def test_designating_valuations_match_brute_force(algebra):
+    for premises_text, conclusion_text in SWEEP_CASES:
+        premises = parse_premises(premises_text)
+        conclusion = None if conclusion_text is None else parse_formula(conclusion_text)
+        assert list(designating_valuations(algebra, premises, conclusion)) == \
+            brute_force_designating_valuations(algebra, premises, conclusion)
 
 
 def test_entails_monotone_reflexive_cut():
@@ -274,12 +306,12 @@ def test_single_crystal_agrees_with_hs_class():
 # ---------------------------------------------------------------------------
 
 def test_vsp_scan_crystal_and_belnap_clean():
-    assert vsp_scan([C], 4) == []
-    assert vsp_scan([M], 4) == []
+    assert vsp_scan(C, 4) == []
+    assert vsp_scan(M, 4) == []
 
 
 def test_vsp_scan_boolean2_finds_explosion():
-    violations = vsp_scan([B2], 4)
+    violations = vsp_scan(B2, 4)
     assert violations
     found = {(str(v.antecedent), str(v.consequent)) for v in violations}
     assert ("p & ~p", "q") in found
@@ -324,7 +356,8 @@ def _vsp_oracle(algebras, bound):
 def test_vsp_scan_matches_brute_force_oracle(names, bound):
     algebras = [_named(name) for name in names]
     expected, min_sizes = _vsp_oracle(algebras, bound)
-    violations = vsp_scan(algebras, bound)
+    scanned = algebras[0] if len(algebras) == 1 else direct_product(algebras)
+    violations = vsp_scan(scanned, bound)
 
     def vector(formula, var):
         return tuple(evaluate(a, {var: x}, formula)
@@ -340,9 +373,3 @@ def test_vsp_scan_matches_brute_force_oracle(names, bound):
         assert violation.consequent.size() == min_sizes[right]
     sizes = [v.antecedent.size() for v in violations]
     assert sizes == sorted(sizes)
-
-
-def test_vsp_scan_drops_repeats_and_refuses_large_products():
-    assert vsp_scan([B2, B2, B2], 4) == vsp_scan([B2], 4)
-    with pytest.raises(SizeCapExceeded):
-        vsp_scan(hs_class(M), 4)

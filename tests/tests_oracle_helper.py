@@ -6,7 +6,8 @@ reference free-algebra closure builds every product coordinate by coordinate
 and pushes both orientations of every table.  The subuniverse oracle filters
 the whole powerset, and the congruence-lattice oracle joins the principal
 congruences of all pairs with every congruence found.  The principal-congruence
-oracle searches all set partitions.  The fixture tables below are not
+oracle searches all set partitions.  The valuation oracles list every
+valuation of a grid before filtering it.  The fixture tables below are not
 commutative, so they tell a closure that skips an argument position apart.
 """
 
@@ -15,6 +16,7 @@ from itertools import combinations, product
 
 from relog.algebra import FiniteAlgebra, builtin_boolean2, power
 from relog.interp import FreeAlgebra
+from relog.logic import evaluate
 from relog.subcon import congruence_join, identity_congruence, principal_congruence
 
 _B2 = builtin_boolean2()
@@ -90,6 +92,58 @@ def brute_force_min_sizes(algebras, k, max_size):
 
 def brute_force_vectors(algebra, k, max_size):
     return set(brute_force_min_sizes([algebra], k, max_size))
+
+
+def brute_force_designating_valuations(algebra, premises, conclusion=None):
+    """Every valuation over the formulas' sorted variables, in lexicographic
+    order, that designates each premise and leaves the conclusion, if any,
+    undesignated."""
+    formulas = list(premises) + ([] if conclusion is None else [conclusion])
+    names = sorted(set().union(*[f.variables() for f in formulas]))
+    grid = [dict(zip(names, point))
+            for point in product(range(algebra.size), repeat=len(names))]
+    return [
+        valuation for valuation in grid
+        if all(algebra.is_designated(evaluate(algebra, valuation, f)) for f in premises)
+        and (conclusion is None
+             or not algebra.is_designated(evaluate(algebra, valuation, conclusion)))
+    ]
+
+
+def _shared_valuation_indices(scope_vars, shared, base_size):
+    """Map each valuation over `scope_vars` to the index of its restriction to
+    `shared` in the free algebra's valuation grid (lexicographic, sorted names)."""
+    positions = [scope_vars.index(v) for v in shared]
+    indices = []
+    for assignment in product(range(base_size), repeat=len(scope_vars)):
+        idx = 0
+        for p in positions:
+            idx = idx * base_size + assignment[p]
+        indices.append((assignment, idx))
+    return indices
+
+
+def reference_interpolant_masks(algebra, sigma, gamma, alpha, shared):
+    """The shared-grid points where an interpolant must be designated (gamma
+    side) and where it must not be (sigma/alpha side), from a listing of each
+    side's whole valuation grid."""
+    n = algebra.size
+    is_designated = algebra.is_designated
+    gamma_scope = sorted(set().union(*[g.variables() for g in gamma]) | set(shared))
+    required = set()
+    for assignment, idx in _shared_valuation_indices(gamma_scope, shared, n):
+        valuation = dict(zip(gamma_scope, assignment))
+        if all(is_designated(evaluate(algebra, valuation, g)) for g in gamma):
+            required.add(idx)
+    alpha_scope = sorted(set(alpha.variables()).union(*[s.variables() for s in sigma])
+                         | set(shared))
+    forbidden = set()
+    for assignment, idx in _shared_valuation_indices(alpha_scope, shared, n):
+        valuation = dict(zip(alpha_scope, assignment))
+        if all(is_designated(evaluate(algebra, valuation, s)) for s in sigma) \
+                and not is_designated(evaluate(algebra, valuation, alpha)):
+            forbidden.add(idx)
+    return required, forbidden
 
 
 def is_closed(algebra, members):
