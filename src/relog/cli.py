@@ -26,6 +26,7 @@ from .interp import (
     DEFAULT_FREE_ELEMENT_CAP,
     FreeAlgebra,
     maehara_interpolant,
+    verify_interpolant,
     vsp_scan,
 )
 from .logic import parse_formula, parse_premises, entails
@@ -346,19 +347,19 @@ def _cmd_interpolate(args):
         sigma = parse_premises(args.sigma or "")
         gamma = parse_premises(args.gamma)
         alpha = parse_formula(args.alpha)
-    result = maehara_interpolant(
-        sigma, gamma, alpha, [algebra],
-        element_cap=(DEFAULT_FREE_ELEMENT_CAP if args.cap_elements is None
-                     else args.cap_elements),
-    )
+    result = maehara_interpolant(sigma, gamma, alpha, [algebra],
+                                 element_cap=args.cap_elements)
+    transcript = verify_interpolant(sigma, gamma, alpha, result.delta, [algebra])
+    if not transcript.ok:
+        raise RelogError(f"interpolant {result.delta} fails its independent re-check")
     data = {
         "delta": str(result.delta),
         "size": result.delta_size,
         "shared": list(result.shared),
         "scanned": result.scanned,
         "transcript": {
-            "gamma_entails_delta": result.gamma_verdict.holds,
-            "sigma_delta_entail_alpha": result.alpha_verdict.holds,
+            "gamma_entails_delta": transcript.gamma_verdict.holds,
+            "sigma_delta_entail_alpha": transcript.alpha_verdict.holds,
         },
     }
     return _report("interpolate", "found", 0, data=data), [
@@ -391,12 +392,8 @@ def _cmd_vsp_scan(args):
 
 def _cmd_free_algebra(args):
     algebra = _resolve_algebra(args.algebra)
-    fa = FreeAlgebra(
-        algebra, args.generators,
-        coordinate_cap=(DEFAULT_COORDINATE_CAP if args.cap_coordinates is None
-                        else args.cap_coordinates),
-        element_cap=20000 if args.cap_elements is None else args.cap_elements,
-    )
+    fa = FreeAlgebra(algebra, args.generators, coordinate_cap=args.cap_coordinates,
+                     element_cap=args.cap_elements)
     fa.freeze()
     sample = [
         str(fa.representative(i))
@@ -439,6 +436,15 @@ def _cmd_reproduce(args):
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _count(least):
+    """An argparse type for an integer of at least `least`."""
+    def count(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"{text} is less than {least}")
+        return int(text)
+    return count
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -488,7 +494,7 @@ def build_parser():
     p.add_argument("--map-left", default="", help="pins like a:b for the left leg")
     p.add_argument("--map-right", default="", help="pins for the right leg")
     p.add_argument("--mode", choices=("AP", "TIP"), default="AP")
-    p.add_argument("--bound", type=int, default=1, help="power-exponent bound")
+    p.add_argument("--bound", type=_count(1), default=1, help="power-exponent bound")
     p.add_argument("--all-spans", action="store_true",
                    help="sweep every span among nontrivial subalgebras")
 
@@ -503,23 +509,23 @@ def build_parser():
     p.add_argument("--gamma")
     p.add_argument("--alpha")
     p.add_argument("--problem", help="JSON file with sigma/gamma/alpha")
-    p.add_argument("--cap-elements", type=int)
+    p.add_argument("--cap-elements", type=int, default=DEFAULT_FREE_ELEMENT_CAP)
 
     p = with_algebra(command("vsp-scan", help="bounded variable-sharing scan"))
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=_count(1), default=4)
 
     p = with_algebra(command("free-algebra", help="free algebra closure"))
     p.add_argument("--generators", type=int, default=1)
-    p.add_argument("--cap-elements", type=int,
+    p.add_argument("--cap-elements", type=int, default=20000,
                    help="element budget for the closure (default 20000 here)")
-    p.add_argument("--cap-coordinates", type=int)
-    p.add_argument("--sample", type=int, default=10,
+    p.add_argument("--cap-coordinates", type=int, default=DEFAULT_COORDINATE_CAP)
+    p.add_argument("--sample", type=_count(0), default=10,
                    help="how many representatives to print")
 
     p = command("reproduce", help="run the full claims suite with stable item ids")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=500)
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--instances", type=_count(1), default=500)
+    p.add_argument("--bound", type=_count(1), default=4)
 
     return parser
 

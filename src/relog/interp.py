@@ -25,6 +25,7 @@ from .errors import (
 )
 from .logic import (
     And,
+    Countermodel,
     EntailmentVerdict,
     Formula,
     Fuse,
@@ -204,14 +205,9 @@ def _shared_free_algebra(base, k, element_cap):
 
 @dataclass
 class InterpolationResult:
-    sigma: list
-    gamma: list
-    alpha: object
     shared: tuple                 # sorted shared variable names
     delta: object                 # the interpolant formula
     scanned: int                  # candidates examined, successful one included
-    gamma_verdict: EntailmentVerdict   # gamma |- delta
-    alpha_verdict: EntailmentVerdict   # sigma, delta |- alpha
 
     @property
     def delta_size(self):
@@ -226,11 +222,8 @@ class VerificationTranscript:
 
     @property
     def ok(self):
-        return (
-            self.variable_condition
-            and self.gamma_verdict is not None and self.gamma_verdict.holds
-            and self.alpha_verdict is not None and self.alpha_verdict.holds
-        )
+        # a verdict is truthy iff it holds; None stands for "not checked"
+        return bool(self.variable_condition and self.gamma_verdict and self.alpha_verdict)
 
 
 def _variables(formulas):
@@ -243,7 +236,10 @@ def _variables(formulas):
 def _interpolant_masks(algebra, sigma, gamma, alpha, shared):
     """The points of the valuation grid over `shared` (C order over the sorted
     names) where a candidate must be designated, for gamma |- delta, and where
-    it must not be, for sigma, delta |- alpha."""
+    it must not be, for sigma, delta |- alpha.  As `shared` is var(gamma) &
+    var(sigma + [alpha]), sigma, gamma |- alpha fails iff the masks meet; the
+    first common point raises NotEntailed, with the gamma and the sigma/alpha
+    valuations there joined into a countermodel."""
     n = algebra.size
 
     def grid_index(valuation):
@@ -252,21 +248,33 @@ def _interpolant_masks(algebra, sigma, gamma, alpha, shared):
             idx = idx * n + valuation[name]
         return idx
 
-    return ({grid_index(v) for v in designating_valuations(algebra, gamma)},
-            {grid_index(v) for v in designating_valuations(algebra, sigma, alpha)})
+    required = {}                 # point -> the first gamma valuation there
+    for valuation in designating_valuations(algebra, gamma):
+        required.setdefault(grid_index(valuation), valuation)
+    forbidden = set()
+    for valuation in designating_valuations(algebra, sigma, alpha):
+        idx = grid_index(valuation)
+        if idx in required:
+            raise NotEntailed(
+                "the premises do not entail the conclusion",
+                countermodel=Countermodel(algebra, {**required[idx], **valuation}),
+            )
+        forbidden.add(idx)
+    return set(required), forbidden
 
 
 def maehara_interpolant(sigma, gamma, alpha, algebras,
                         element_cap=DEFAULT_FREE_ELEMENT_CAP):
     """Find a formula delta over the shared variables with gamma |- delta and
-    sigma, delta |- alpha.
+    sigma, delta |- alpha over the one algebra in `algebras`.
 
     The shared set is var(sigma + [alpha]) & var(gamma) — the asymmetric reading:
     delta must be provable from gamma and usable alongside sigma.  Candidates
-    are the elements of the free algebra over `algebras[0]` on the shared
-    variables, in discovery order, so the returned interpolant has minimal size.
-    That free algebra is cached and grown in place across calls, so concurrent
-    calls on one base algebra are not safe.
+    are the elements of the free algebra on the shared variables in discovery
+    order, and the first to meet both masks is a minimal-size interpolant.  Its
+    coordinate cap is checked before the masks are built.  The free algebra is
+    cached and grown in place across calls, so concurrent calls on one base
+    algebra are not safe.
     """
     sigma, gamma = list(sigma), list(gamma)
     shared = tuple(sorted(_variables(sigma + [alpha]) & _variables(gamma)))
@@ -274,18 +282,10 @@ def maehara_interpolant(sigma, gamma, alpha, algebras,
         raise NoSharedVariables(
             "no variable is shared between the gamma side and the sigma/alpha side"
         )
-    precheck = entails(algebras, sigma + gamma, alpha)
-    if not precheck.holds:
-        raise NotEntailed(
-            "the premises do not entail the conclusion",
-            countermodel=precheck.countermodel,
-        )
-    generator = algebras[0]
-    fa = _shared_free_algebra(generator, len(shared), element_cap)
-    is_designated = generator.is_designated
-    # A vector is an interpolant over `generator` iff it is designated on all
-    # of `required` and undesignated on all of `forbidden`.
-    required, forbidden = _interpolant_masks(generator, sigma, gamma, alpha, shared)
+    (algebra,) = algebras
+    fa = _shared_free_algebra(algebra, len(shared), element_cap)
+    required, forbidden = _interpolant_masks(algebra, sigma, gamma, alpha, shared)
+    is_designated = algebra.is_designated
 
     scanned = 0
     for element_id in fa.iter_discovery():
@@ -293,17 +293,8 @@ def maehara_interpolant(sigma, gamma, alpha, algebras,
         vector = fa.vectors[element_id]
         if all(is_designated(vector[i]) for i in required) and \
                 not any(is_designated(vector[i]) for i in forbidden):
-            delta = fa.representative(element_id, names=shared)
-            gamma_verdict = entails(algebras, gamma, delta)
-            alpha_verdict = entails(algebras, sigma + [delta], alpha)
-            if not (gamma_verdict.holds and alpha_verdict.holds):
-                # The mask is exact for consequence over `generator` alone; a
-                # disagreement can only come from extra algebras in K.
-                continue
             return InterpolationResult(
-                sigma, gamma, alpha, shared, delta, scanned,
-                gamma_verdict, alpha_verdict,
-            )
+                shared, fa.representative(element_id, names=shared), scanned)
     raise InterpolantNotFound(
         f"no interpolant among all {scanned} formulas over {shared} "
         f"up to logical equivalence",

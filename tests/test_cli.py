@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from relog import cli
 from relog.cli import main
+from relog.interp import VerificationTranscript
 from relog.logic import MAX_FORMULA_DEPTH
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -186,6 +188,32 @@ def test_zero_cap_is_honoured(capsys, argv):
     assert report["data"]["error"] == "CapExceeded"
 
 
+@pytest.mark.parametrize("argv", [
+    ("vsp-scan", "--bound", "-1"),
+    ("vsp-scan", "--bound", "0"),
+    ("amalgamate", "--all-spans", "--bound", "0"),
+    ("reproduce", "--instances", "-1"),
+    ("reproduce", "--bound", "0"),
+    ("free-algebra", "--sample", "-3"),
+], ids=["vsp-bound-negative", "vsp-bound-zero", "amalgamate-bound-zero",
+        "reproduce-instances-negative", "reproduce-bound-zero", "free-sample-negative"])
+def test_count_below_its_least_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "is less than" in err
+
+
+def test_interpolant_failing_its_recheck_is_an_engine_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_interpolant",
+                        lambda *args: VerificationTranscript(False, None, None))
+    code, out, err = run_cli(capsys, "interpolate", "--gamma", "p & q",
+                             "--alpha", "q | r")
+    assert code == 2
+    assert "holds" not in out + err
+    assert "re-check" in err
+
+
 def test_amalgam_search_past_the_subuniverse_cap_is_an_engine_error(capsys):
     # belnap-m has spans with no amalgam in itself; bound 2 reaches belnap-m^2
     code, report = run_json(capsys, "amalgamate", "--algebra", "belnap-m",
@@ -284,18 +312,29 @@ def test_format_parses_on_either_side_of_the_subcommand(capsys, argv):
     }
 
 
+VERDICT_EXIT_CODES = {"holds": 0, "found": 0, "ok": 0, "pass": 0,
+                      "fails": 1, "not-found": 1, "error": 2}
+
+
 def test_text_and_json_verdicts_agree(capsys):
     cases = [
         (["check", "--property", "simple", "--algebra", "crystal"], "holds"),
         (["entails", "--algebra", "crystal", "--premises", "p",
           "--conclusion", "q"], "fails"),
         (["vsp-scan", "--algebra", "crystal"], "holds"),
+        (["vsp-scan", "--algebra", "boolean2"], "fails"),
+        (["interpolate", "--gamma", "p & q", "--alpha", "q | r"], "found"),
+        (["interpolate", "--gamma", "p", "--alpha", "p & q"], "error"),  # not entailed
+        (["interpolate", "--gamma", "p", "--alpha", "q"], "error"),      # nothing shared
     ]
     for argv, expected in cases:
-        text_code, text_out, _ = run_cli(capsys, *argv)
+        text_code, text_out, text_err = run_cli(capsys, *argv)
         json_code, report = run_json(capsys, *argv)
-        assert text_code == json_code
-        assert report["verdict"] == expected
+        assert report["verdict"] == expected, argv
+        assert text_code == json_code == report["exit_code"] == \
+            VERDICT_EXIT_CODES[expected], argv
+        # an error's text goes to stderr, every other verdict's to stdout
+        assert bool(text_err) == (expected == "error") != bool(text_out), argv
 
 
 def test_reproduce_quick_and_deterministic(capsys):

@@ -1,12 +1,18 @@
-"""Property tests: the closures that skip a commutative table's second
-argument position, against their oracles on random small tables, commutative
-or not."""
+"""Property tests on random small tables, commutative or not: the closures
+that skip a commutative table's second argument position, and interpolation
+decided from its two masks, against their oracles."""
 
 from hypothesis import given, settings, strategies as st
 
 from relog.algebra import FiniteAlgebra
-from relog.errors import NotACongruence
-from relog.interp import FreeAlgebra
+from relog.errors import (
+    InterpolantNotFound,
+    NoSharedVariables,
+    NotACongruence,
+    NotEntailed,
+)
+from relog.interp import FreeAlgebra, maehara_interpolant, verify_interpolant
+from relog.logic import And, Fuse, Not, Or, Var, entails, verify_countermodel
 from relog.subcon import Congruence, all_subuniverses, principal_congruence
 from tests_oracle_helper import (
     ReferenceFreeAlgebra,
@@ -14,6 +20,7 @@ from tests_oracle_helper import (
     closure_state,
     is_compatible,
     powerset_subuniverses,
+    reference_interpolant_masks,
     set_partitions,
 )
 
@@ -60,3 +67,51 @@ def test_closures_match_their_oracles_on_random_tables(algebra):
         except NotACongruence:
             accepted = False
         assert accepted == is_compatible(algebra, labels), labels
+
+
+def formulas(names):
+    """Formulas over the variables `names` with at most four leaves."""
+    def extend(inner):
+        return st.one_of(
+            inner.map(Not),
+            st.builds(lambda ctor, left, right: ctor(left, right),
+                      st.sampled_from((And, Or, Fuse)), inner, inner),
+        )
+
+    return st.recursive(st.sampled_from(names).map(Var), extend, max_leaves=4)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_algebras(),
+       st.lists(formulas(("p", "r")), max_size=2),
+       st.lists(formulas(("p", "q")), min_size=1, max_size=2),
+       formulas(("p", "r")))
+def test_interpolation_matches_its_oracles_on_random_tables(algebra, sigma, gamma, alpha):
+    """NotEntailed exactly when consequence fails, with a countermodel that
+    re-verifies; every interpolant re-verifies; and InterpolantNotFound only
+    when no element of the reference free algebra meets the reference masks."""
+    shared = {"p"} & alpha.variables().union(*[f.variables() for f in sigma]) \
+        & set().union(*[f.variables() for f in gamma])
+    verdict = entails([algebra], sigma + gamma, alpha)
+    try:
+        result = maehara_interpolant(sigma, gamma, alpha, [algebra])
+    except NoSharedVariables:
+        assert not shared
+        return
+    except NotEntailed as exc:
+        assert not verdict.holds
+        assert verify_countermodel(
+            algebra, exc.countermodel.valuation, sigma + gamma, alpha)
+        return
+    except InterpolantNotFound:
+        assert verdict.holds
+        required, forbidden = reference_interpolant_masks(
+            algebra, sigma, gamma, alpha, ("p",))
+        designated = algebra.is_designated
+        assert not any(
+            all(designated(vector[i]) for i in required)
+            and not any(designated(vector[i]) for i in forbidden)
+            for vector in ReferenceFreeAlgebra(algebra, 1).freeze().vectors)
+        return
+    assert verdict.holds
+    assert verify_interpolant(sigma, gamma, alpha, result.delta, [algebra]).ok

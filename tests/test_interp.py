@@ -12,10 +12,12 @@ from relog.algebra import (
     power,
     product as direct_product,
 )
+from relog import interp
 from relog.errors import (
     CapExceeded,
     NoSharedVariables,
     NotEntailed,
+    SizeCapExceeded,
 )
 from relog.interp import (
     DEFAULT_FREE_ELEMENT_CAP,
@@ -33,9 +35,12 @@ from relog.logic import (
     Not,
     Or,
     Var,
+    designating_valuations,
+    entails,
     evaluate,
     parse_formula,
     parse_premises,
+    verify_countermodel,
 )
 from relog.reproduce import random_formula
 from tests_oracle_helper import (
@@ -195,10 +200,11 @@ def test_interpolant_coordinate_cap_holds_at_its_default():
 
 @pytest.mark.parametrize("algebra", [C, M], ids=["crystal", "belnap-m"])
 def test_interpolant_masks_match_reference(algebra):
-    """The masks from the lazy sweep equal the whole-grid listing on seeded
-    problems of the reproduce suite's shape."""
+    """On entailed problems of the reproduce suite's shape the masks from the
+    lazy sweep equal the whole-grid listing; on the others the reference
+    masks meet, and the sweep raises NotEntailed with a countermodel."""
     rng = random.Random(20250808)
-    compared = 0
+    compared = refuted = 0
     while compared < 120:
         sigma = [random_formula(rng) for _ in range(rng.randrange(3))]
         gamma = [random_formula(rng) for _ in range(1 + rng.randrange(2))]
@@ -209,8 +215,63 @@ def test_interpolant_masks_match_reference(algebra):
         if not shared:
             continue
         compared += 1
-        assert _interpolant_masks(algebra, sigma, gamma, alpha, shared) == \
-            reference_interpolant_masks(algebra, sigma, gamma, alpha, shared)
+        required, forbidden = reference_interpolant_masks(
+            algebra, sigma, gamma, alpha, shared)
+        try:
+            masks = _interpolant_masks(algebra, sigma, gamma, alpha, shared)
+        except NotEntailed as exc:
+            refuted += 1
+            assert required & forbidden
+            assert verify_countermodel(
+                algebra, exc.countermodel.valuation, sigma + gamma, alpha)
+            continue
+        assert masks == (required, forbidden)
+    assert 0 < refuted < compared
+
+
+def test_maehara_sweeps_each_side_once_and_never_calls_entails(monkeypatch):
+    """Synthesis, and a refutation, come from the two mask sweeps alone."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return designating_valuations(*args)
+
+    def refuse(*args):
+        raise AssertionError("maehara_interpolant called entails")
+
+    monkeypatch.setattr(interp, "designating_valuations", counted)
+    monkeypatch.setattr(interp, "entails", refuse)
+    sigma, gamma = parse_premises("p -> q"), parse_premises("p, q -> r")
+    assert maehara_interpolant(sigma, gamma, parse_formula("q | r"), [C]).delta
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(NotEntailed):
+        maehara_interpolant([], [Var("p")], parse_formula("p & q"), [C])
+    assert len(calls) == 2
+
+
+def test_maehara_decides_a_union_grid_over_the_valuation_cap():
+    """Eleven crystal variables (6^11 valuations) in all, six on each side:
+    each mask sweeps 6^6 valuations."""
+    gamma = [parse_formula("p & (q1 | q2 | q3 | q4 | q5)")]
+    alpha = parse_formula("p | r1 | r2 | r3 | r4 | r5")
+    with pytest.raises(SizeCapExceeded):
+        entails([C], gamma, alpha)
+    assert maehara_interpolant([], gamma, alpha, [C]).delta == Var("p")
+
+
+def test_maehara_checks_the_coordinate_cap_before_the_masks():
+    """Not entailed, and four shared crystal variables: the cap answers."""
+    gamma = [parse_formula("p & q & r & s")]
+    with pytest.raises(CapExceeded):
+        maehara_interpolant([], gamma, parse_formula("p & q & r & s & ~p"), [C])
+
+
+def test_maehara_takes_exactly_one_algebra():
+    gamma, alpha = [parse_formula("p & q")], parse_formula("q")
+    with pytest.raises(ValueError):
+        maehara_interpolant([], gamma, alpha, [C, M])
 
 
 def test_interpolant_masks_do_not_hold_the_grid():
@@ -233,7 +294,6 @@ def test_maehara_shared_variable_projection():
         [], [parse_formula("p & q")], parse_formula("q | r"), [C]
     )
     assert result.delta == Var("q")
-    assert result.gamma_verdict.holds and result.alpha_verdict.holds
     assert verify_interpolant(
         [], [parse_formula("p & q")], parse_formula("q | r"), result.delta, [C]
     ).ok
