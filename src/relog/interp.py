@@ -39,6 +39,7 @@ from .logic import (
 
 DEFAULT_COORDINATE_CAP = 216     # valuation-grid width: 6**3
 DEFAULT_FREE_ELEMENT_CAP = 10**6
+DEFAULT_FREE_PENDING_CAP = 250_000  # heap entries: ~93 MiB for crystal, 2 generators
 
 _GENERATOR = "gen"
 _UNARY = "neg"
@@ -51,10 +52,17 @@ class FreeAlgebra:
 
     Elements are discovered lazily; `freeze()` drains the queue and fixes the
     exact element count.  Discovery order is deterministic: by representative
-    size, ties by insertion.  Products are built from precomputed table rows,
-    and a commutative table's product is pushed once, not in both argument
-    orders; the skipped push could never enter the heap, so discovery order,
-    sizes and parents are unchanged.
+    size, ties by insertion.  A commutative table's product is pushed once,
+    not in both argument orders; the skipped push could never enter the heap,
+    so discovery order, sizes and parents are unchanged.
+
+    Two builders make the products, chosen by the size n of `base`:
+
+    - n <= 16 (every builtin): vectors are `bytes`.  As x*n + y <= 255, the
+      products of the new vector with all admitted ones come from one big-int
+      add over the concatenated vectors and one `bytes.translate` per table.
+    - n > 16 (products, `vsp_scan` classes): vectors are tuples, and each
+      product is a C-level `map` over precomputed table rows.
     """
 
     def __init__(self, base, k, coordinate_cap=DEFAULT_COORDINATE_CAP,
@@ -79,15 +87,31 @@ class FreeAlgebra:
         self._counter = 0
         self._heap = []
         self._best = {}
-        self._tables = tuple(zip(_BINARY_OPS, base.binary_tables))
-        grid = list(product(range(base.size), repeat=k))
+        n = base.size
+        if n <= 16:
+            # 256-byte tables: neg, x -> x*n, and x*n + y -> table[x][y] and
+            # -> table[y][x], the latter None when the table commutes
+            def flat(t):
+                return bytes(t[x][y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
+
+            self._neg_lane = bytes(base.neg) + bytes(256 - n)
+            self._times_n = bytes(x * n for x in range(n)) + bytes(256 - n)
+            self._lane_tables = tuple(
+                (op, flat(table), None if commutative else flat(transpose))
+                for op, (table, transpose, commutative) in zip(_BINARY_OPS, base.binary_tables)
+            )
+            self._blob = bytearray()     # every admitted vector, concatenated
+            self._encode, self._products = bytes, self._lane_products
+        else:
+            self._tables = tuple(zip(_BINARY_OPS, base.binary_tables))
+            self._encode, self._products = tuple, self._row_products
+        grid = list(product(range(n), repeat=k))
         for d in range(k):
-            vector = tuple(val[d] for val in grid)
-            self._push(vector, 1, (_GENERATOR, d, None))
+            self._push(self._encode(val[d] for val in grid), 1, (_GENERATOR, d, None))
 
     def _push(self, vector, size, parent):
-        if vector in self.index:
-            return
+        # Elements are admitted in size order, at their best size, so `_best`
+        # also refuses a vector already admitted.
         best = self._best.get(vector)
         if best is not None and best <= size:
             return
@@ -95,47 +119,83 @@ class FreeAlgebra:
         self._counter += 1
         heapq.heappush(self._heap, (size, self._counter, vector, parent))
 
+    def _lane_products(self, vector):
+        """Append `vector` to the blob; return its negation and, per
+        operation, its products with every admitted vector in both argument
+        positions: (op, table[other][new] by other id, table[new][other] or
+        None).  Byte x*n + y of one sum holds the pair (other, new), and no
+        carry crosses a byte."""
+        blob = self._blob
+        blob += vector
+        total, width = len(blob), self.width
+        pairs = (int.from_bytes(blob.translate(self._times_n), "big")
+                 + int.from_bytes(vector * (total // width), "big")
+                 ).to_bytes(total, "big")
+
+        def split(flat):
+            lane = pairs.translate(flat)
+            return [lane[i:i + width] for i in range(0, total, width)]
+
+        return vector.translate(self._neg_lane), [
+            (op, split(right), None if left is None else split(left))
+            for op, right, left in self._lane_tables
+        ]
+
+    def _row_products(self, vector):
+        """`_lane_products` for tuple vectors: `map` builds each product in C
+        from the rows that the new vector's coordinates select."""
+        def build(rows):
+            return [tuple(map(getitem, rows, ovec)) for ovec in self.vectors]
+
+        # transpose[u][w] = table[w][u]: u is the new vector's coordinate
+        return tuple(map(self.base.neg.__getitem__, vector)), [
+            (op, build([transpose[u] for u in vector]),
+             None if commutative else build([table[u] for u in vector]))
+            for op, (table, transpose, commutative) in self._tables
+        ]
+
     def _pop_next(self):
         """Admit the next new element; returns its id or None when closed.
 
-        `map` builds each product in C from the rows that the new vector's
-        coordinates select.  A commutative table's mirrored product
-        (new, other) would repeat (other, new) at the same size, and `_push`
-        would drop it, so it is not built.
+        Pushes run in one loop over the admitted elements, whichever builder
+        made the products: per other element, per operation, (other, new)
+        and then (new, other).  A commutative table's mirrored product would
+        repeat (other, new) at the same size, and `_push` would drop it, so
+        it is not built.
         """
-        push = self._push
-        while self._heap:
-            size, _, vector, parent = heapq.heappop(self._heap)
+        push, heap = self._push, self._heap
+        while heap:
+            size, _, vector, parent = heap[0]
             if vector in self.index:
+                heapq.heappop(heap)
                 continue
-            if len(self.vectors) >= self.element_cap:
+            # a cap that fires leaves the closure as it was
+            new_id = len(self.vectors)
+            if new_id >= self.element_cap:
                 raise CapExceeded(
                     f"free algebra over {self.base.name} on {self.k} generators "
                     f"exceeded {self.element_cap} elements"
                 )
-            new_id = len(self.vectors)
+            if len(heap) > DEFAULT_FREE_PENDING_CAP:
+                raise CapExceeded(
+                    f"free algebra over {self.base.name} on {self.k} generators "
+                    f"has {len(heap)} pending candidates after {new_id} "
+                    f"elements (cap {DEFAULT_FREE_PENDING_CAP})"
+                )
+            heapq.heappop(heap)
             self.index[vector] = new_id
             self.vectors.append(vector)
             self.sizes.append(size)
             self.parents.append(parent)
-            push(tuple(map(self.base.neg.__getitem__, vector)), size + 1,
-                 (_UNARY, new_id, None))
-            # right_rows[i][w] = table[w][vector[i]] and left_rows[i][w] =
-            # table[vector[i]][w]; None when the table commutes.
-            lanes = [
-                (op, [transpose[u] for u in vector],
-                 None if commutative else [table[u] for u in vector])
-                for op, (table, transpose, commutative) in self._tables
-            ]
-            for other_id, (ovec, osize) in enumerate(zip(self.vectors, self.sizes)):
+            neg, products = self._products(vector)
+            push(neg, size + 1, (_UNARY, new_id, None))
+            for other_id, osize in enumerate(self.sizes):
                 joint = osize + size + 1
-                for op, right_rows, left_rows in lanes:
-                    if left_rows is None or other_id != new_id:
-                        push(tuple(map(getitem, right_rows, ovec)), joint,
-                             (op, other_id, new_id))
-                    if left_rows is not None:
-                        push(tuple(map(getitem, left_rows, ovec)), joint,
-                             (op, new_id, other_id))
+                for op, right, left in products:
+                    if left is None or other_id != new_id:
+                        push(right[other_id], joint, (op, other_id, new_id))
+                    if left is not None:
+                        push(left[other_id], joint, (op, new_id, other_id))
             return new_id
         self.closed = True
         return None

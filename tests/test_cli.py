@@ -188,6 +188,21 @@ def test_zero_cap_is_honoured(capsys, argv):
     assert report["data"]["error"] == "CapExceeded"
 
 
+def test_free_closure_pending_cap_stops_a_closure_the_element_cap_cannot():
+    # crystal on 2 generators is far below the default element cap of 20000
+    # when its heap of pending candidates passes the pending cap
+    result = subprocess.run(
+        [sys.executable, "-m", "relog", "--format", "json", "free-algebra",
+         "--algebra", "crystal", "--generators", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    report = json.loads(result.stderr)
+    validate_report(report)
+    assert report["data"]["error"] == "CapExceeded"
+    assert "pending candidates" in report["data"]["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("vsp-scan", "--bound", "-1"),
     ("vsp-scan", "--bound", "0"),

@@ -4,7 +4,7 @@ decided from its two masks, against their oracles."""
 
 from hypothesis import given, settings, strategies as st
 
-from relog.algebra import FiniteAlgebra
+from relog.algebra import FiniteAlgebra, product
 from relog.errors import (
     InterpolantNotFound,
     NoSharedVariables,
@@ -26,13 +26,14 @@ from tests_oracle_helper import (
 
 
 @st.composite
-def small_algebras(draw):
-    """A 2- to 4-element algebra with random tables.  Each binary table is
-    drawn as it comes, commutative (mirrored from its upper triangle), or
-    blind to its left argument, x op y = g(y).  Random tables mostly generate
-    only the full congruence; a table blind to one argument keeps congruences
-    that a closure visiting one argument position would get wrong."""
-    n = draw(st.integers(2, 4))
+def small_algebras(draw, sizes=(2, 4)):
+    """An algebra of `sizes` elements, 2 to 4 by default, with random
+    tables.  Each binary table is drawn as it comes, commutative (mirrored
+    from its upper triangle), or blind to its left argument, x op y = g(y).
+    Random tables mostly generate only the full congruence; a table blind to
+    one argument keeps congruences that a closure visiting one argument
+    position would get wrong."""
+    n = draw(st.integers(*sizes))
     entry = st.integers(0, n - 1)
 
     def binary():
@@ -50,11 +51,21 @@ def small_algebras(draw):
     return FiniteAlgebra("random", [f"e{i}" for i in range(n)], meet, join, fusion, neg)
 
 
+def grown_closure_state(cls, base, elements):
+    fa = cls(base, 1)
+    fa.ensure(elements - 1)
+    return closure_state(fa)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(small_algebras())
-def test_closures_match_their_oracles_on_random_tables(algebra):
+@given(small_algebras(), small_algebras(sizes=(5, 6)))
+def test_closures_match_their_oracles_on_random_tables(algebra, other):
     assert closure_state(FreeAlgebra(algebra, 1).freeze()) == \
         closure_state(ReferenceFreeAlgebra(algebra, 1).freeze())
+    # 10 to 24 elements: byte lanes up to 16, table rows past it
+    pair = product([algebra, other])
+    assert grown_closure_state(FreeAlgebra, pair, 60) == \
+        grown_closure_state(ReferenceFreeAlgebra, pair, 60)
     for (x, y), labels in brute_force_principal_congruences(algebra).items():
         assert principal_congruence(algebra, x, y).block_of == labels, (x, y)
     assert all_subuniverses(algebra) == powerset_subuniverses(algebra)

@@ -71,7 +71,7 @@ def test_brute_force_oracle_boolean2_one_generator():
 def test_free_algebra_boolean2_matches_oracle(k, expected_count):
     fa = free_algebra(B2, k)
     assert fa.element_count == expected_count
-    assert set(fa.vectors) == brute_force_vectors(B2, k, 8)
+    assert set(map(tuple, fa.vectors)) == brute_force_vectors(B2, k, 8)
 
 
 def test_free_algebra_crystal_one_generator_count():
@@ -80,17 +80,17 @@ def test_free_algebra_crystal_one_generator_count():
     assert max(fa.sizes) == 15
     # matches the brute-force reachable set once the bound covers the largest
     # minimal representative
-    assert set(fa.vectors) == brute_force_vectors(C, 1, 15)
+    assert set(map(tuple, fa.vectors)) == brute_force_vectors(C, 1, 15)
 
 
 def test_free_algebra_contains_projections():
     fa = free_algebra(C, 1)
-    assert fa.vectors[0] == tuple(range(6))
+    assert fa.vectors[0] == bytes(range(6))
     fa2 = FreeAlgebra(C, 2)
     fa2.ensure(1)
     grid = list(product(range(6), repeat=2))
-    assert fa2.vectors[0] == tuple(v[0] for v in grid)
-    assert fa2.vectors[1] == tuple(v[1] for v in grid)
+    assert fa2.vectors[0] == bytes(v[0] for v in grid)
+    assert fa2.vectors[1] == bytes(v[1] for v in grid)
 
 
 def test_free_algebra_representatives_are_sound():
@@ -98,7 +98,7 @@ def test_free_algebra_representatives_are_sound():
     for i in range(fa.element_count):
         rep = fa.representative(i, names=("p",))
         vec = tuple(evaluate(C, {"p": x}, rep) for x in range(C.size))
-        assert vec == fa.vectors[i]
+        assert vec == tuple(fa.vectors[i])
         assert rep.size() == fa.sizes[i]
 
 
@@ -109,7 +109,7 @@ def test_free_algebra_two_generator_representatives_sound_on_prefix():
     for i in range(60):
         rep = fa.representative(i, names=("p", "q"))
         vec = tuple(evaluate(C, {"p": x, "q": y}, rep) for x, y in grid)
-        assert vec == fa.vectors[i]
+        assert vec == tuple(fa.vectors[i])
 
 
 def test_free_algebra_discovery_order_is_by_size_and_deterministic():
@@ -121,10 +121,18 @@ def test_free_algebra_discovery_order_is_by_size_and_deterministic():
 
 def test_free_algebra_identity_vector_has_small_representative():
     fa = free_algebra(C, 1)
-    pp = tuple(C.neg[C.fusion[x][C.neg[x]]] for x in range(6))
+    pp = bytes(C.neg[C.fusion[x][C.neg[x]]] for x in range(6))
     assert pp in fa.index
     rep = fa.representative(fa.index[pp], names=("p",))
     assert rep.connective_count() <= 4
+
+
+def test_free_algebra_builder_follows_the_base_size():
+    for base, encoding in ((direct_product([IMPLICATION_FUSION, LEFT_BLIND_MEET, B2]), bytes),
+                           (CHAIN17, tuple)):
+        fa = FreeAlgebra(base, 1)
+        assert fa.ensure(0)
+        assert fa.vectors[0] == encoding(range(base.size))
 
 
 def test_free_algebra_caps():
@@ -133,6 +141,17 @@ def test_free_algebra_caps():
     with pytest.raises(CapExceeded):
         FreeAlgebra(C, 1, element_cap=10).freeze()
 
+
+# A 17-element chain, one past the byte-lane builder's 16: meet and join are
+# min and max, neg is x -> 16 - x, and fusion x * y = (x*y + x) mod 17 does
+# not commute.
+CHAIN17 = FiniteAlgebra(
+    "chain17", [f"c{i}" for i in range(17)],
+    [[min(x, y) for y in range(17)] for x in range(17)],
+    [[max(x, y) for y in range(17)] for x in range(17)],
+    [[(x * y + x) % 17 for y in range(17)] for x in range(17)],
+    [16 - x for x in range(17)],
+)
 
 # (base, generators, elements to grow to, or None to close)
 REFERENCE_CLOSURE_CASES = {
@@ -146,6 +165,12 @@ REFERENCE_CLOSURE_CASES = {
     "left-blind meet": lambda: (LEFT_BLIND_MEET, 1, None),
     "384-element product, to 50": lambda: (
         direct_product([C, M, power(B2, 3)]), 1, 50),
+    # 16 elements, the widest byte lanes: the generator with itself pairs
+    # coordinate 15 with 15, byte 15*16 + 15 = 255; meet and fusion do not
+    # commute
+    "16-element product": lambda: (
+        direct_product([IMPLICATION_FUSION, LEFT_BLIND_MEET, B2]), 1, None),
+    "17-element chain, to 150": lambda: (CHAIN17, 1, 150),
 }
 
 

@@ -191,9 +191,11 @@ class ReferenceFreeAlgebra(FreeAlgebra):
     """FreeAlgebra with its closure step built one coordinate at a time.
 
     Both orientations of every binary table are pushed for every pair, so no
-    commutativity is assumed anywhere."""
+    commutativity is assumed anywhere.  Only the vector encoding, `bytes` or
+    tuple, is the implementation's."""
 
     def _pop_next(self):
+        encode = self._encode
         neg = self.base.neg
         tables = {"and": self.base.meet, "or": self.base.join, "fuse": self.base.fusion}
         while self._heap:
@@ -205,7 +207,7 @@ class ReferenceFreeAlgebra(FreeAlgebra):
             self.vectors.append(vector)
             self.sizes.append(size)
             self.parents.append(parent)
-            self._push(tuple(neg[v] for v in vector), size + 1, ("neg", new_id, None))
+            self._push(encode(neg[v] for v in vector), size + 1, ("neg", new_id, None))
             for other_id in range(new_id + 1):
                 ovec = self.vectors[other_id]
                 osize = self.sizes[other_id]
@@ -213,11 +215,11 @@ class ReferenceFreeAlgebra(FreeAlgebra):
                     table = tables[op]
                     if other_id != new_id:
                         self._push(
-                            tuple(table[u][v] for u, v in zip(ovec, vector)),
+                            encode(table[u][v] for u, v in zip(ovec, vector)),
                             osize + size + 1, (op, other_id, new_id),
                         )
                     self._push(
-                        tuple(table[u][v] for u, v in zip(vector, ovec)),
+                        encode(table[u][v] for u, v in zip(vector, ovec)),
                         size + osize + 1, (op, new_id, other_id),
                     )
             return new_id
