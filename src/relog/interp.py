@@ -3,14 +3,14 @@ bounded VSP scanning.
 
 The finite free algebra on k generators lives inside the direct power A^(n^k):
 an element is the vector of its values under every valuation of the generators.
-Closure runs in uniform-cost order on representative size, so the first formula
+Closure walks representative sizes in increasing order, so the first formula
 discovered for a vector is a minimal-size representative and interpolant
 search in discovery order returns minimal-size interpolants.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -39,7 +39,6 @@ from .logic import (
 
 DEFAULT_COORDINATE_CAP = 216     # valuation-grid width: 6**3
 DEFAULT_FREE_ELEMENT_CAP = 10**6
-DEFAULT_FREE_PENDING_CAP = 250_000  # heap entries: ~93 MiB for crystal, 2 generators
 
 _GENERATOR = "gen"
 _UNARY = "neg"
@@ -50,17 +49,23 @@ _CTOR = {"and": And, "or": Or, "fuse": Fuse}
 class FreeAlgebra:
     """Closure of the k projection vectors under the four operations.
 
-    Elements are discovered lazily; `freeze()` drains the queue and fixes the
-    exact element count.  Discovery order is deterministic: by representative
-    size, ties by insertion.  A commutative table's product is pushed once,
-    not in both argument orders; the skipped push could never enter the heap,
-    so discovery order, sizes and parents are unchanged.
+    Elements are discovered lazily; `freeze()` drains the closure and fixes
+    the exact element count.  Discovery walks size levels in order.  Every
+    operand of a size-s candidate is smaller: s - 1 for a negation, sizes
+    summing to s - 1 for a product.  So level s is complete once level s - 1
+    is, and the first formula found for a vector has minimal size.  Within a
+    level, candidates come by the id of the later-admitted operand, then the
+    other operand's id, then and, or, fuse, then (other, new) before (new,
+    other).  That is the pop order of a uniform-cost queue that breaks ties
+    by insertion, so the walk finds the same order, sizes and parents.  A
+    commutative table's product is built once, as (other, new).
 
     Two builders make the products, chosen by the size n of `base`:
 
     - n <= 16 (every builtin): vectors are `bytes`.  As x*n + y <= 255, the
-      products of the new vector with all admitted ones come from one big-int
-      add over the concatenated vectors and one `bytes.translate` per table.
+      products of the new vector with a range of admitted ones come from one
+      big-int add over their concatenation and one `bytes.translate` per
+      table.
     - n > 16 (products, `vsp_scan` classes): vectors are tuples, and each
       product is a C-level `map` over precomputed table rows.
     """
@@ -69,8 +74,11 @@ class FreeAlgebra:
                  element_cap=DEFAULT_FREE_ELEMENT_CAP):
         if k < 1:
             raise NoSharedVariables("free algebra needs at least one generator")
-        width = base.size ** k
-        if width > coordinate_cap:
+        n = base.size
+        # n**k > coordinate_cap once n >= 2 and k > coordinate_cap.bit_length()
+        huge = n >= 2 and k > coordinate_cap.bit_length()
+        width = f"{n}**{k}" if huge else n ** k
+        if huge or width > coordinate_cap:
             raise CapExceeded(
                 f"free algebra over {base.name} on {k} generators needs "
                 f"{width} coordinates (cap {coordinate_cap})"
@@ -84,121 +92,112 @@ class FreeAlgebra:
         self.parents = []        # element id -> (op, left, right)
         self.index = {}          # vector -> element id
         self.closed = False
-        self._counter = 0
-        self._heap = []
-        self._best = {}
-        n = base.size
+        self._candidates = self._walk()
+        self._held = None        # a pulled candidate that a cap kept out
         if n <= 16:
-            # 256-byte tables: neg, x -> x*n, and x*n + y -> table[x][y] and
+            # 256-byte tables: x -> x*n, and x*n + y -> table[x][y] and
             # -> table[y][x], the latter None when the table commutes
             def flat(t):
                 return bytes(t[x][y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
 
-            self._neg_lane = bytes(base.neg) + bytes(256 - n)
             self._times_n = bytes(x * n for x in range(n)) + bytes(256 - n)
             self._lane_tables = tuple(
                 (op, flat(table), None if commutative else flat(transpose))
                 for op, (table, transpose, commutative) in zip(_BINARY_OPS, base.binary_tables)
             )
-            self._blob = bytearray()     # every admitted vector, concatenated
             self._encode, self._products = bytes, self._lane_products
         else:
             self._tables = tuple(zip(_BINARY_OPS, base.binary_tables))
             self._encode, self._products = tuple, self._row_products
-        grid = list(product(range(n), repeat=k))
-        for d in range(k):
-            self._push(self._encode(val[d] for val in grid), 1, (_GENERATOR, d, None))
 
-    def _push(self, vector, size, parent):
-        # Elements are admitted in size order, at their best size, so `_best`
-        # also refuses a vector already admitted.
-        best = self._best.get(vector)
-        if best is not None and best <= size:
-            return
-        self._best[vector] = size
-        self._counter += 1
-        heapq.heappush(self._heap, (size, self._counter, vector, parent))
-
-    def _lane_products(self, vector):
-        """Append `vector` to the blob; return its negation and, per
-        operation, its products with every admitted vector in both argument
-        positions: (op, table[other][new] by other id, table[new][other] or
-        None).  Byte x*n + y of one sum holds the pair (other, new), and no
-        carry crosses a byte."""
-        blob = self._blob
-        blob += vector
-        total, width = len(blob), self.width
-        pairs = (int.from_bytes(blob.translate(self._times_n), "big")
-                 + int.from_bytes(vector * (total // width), "big")
+    def _lane_products(self, vector, lo, hi):
+        """Per operation, the products of `vector` with the admitted vectors
+        lo..hi-1 in both argument positions: (op, table[other][new] by other
+        id, table[new][other] or None).  Byte x*n + y of one sum holds the
+        pair (other, new), and no carry crosses a byte."""
+        width, total = self.width, (hi - lo) * self.width
+        pairs = (int.from_bytes(b"".join(self.vectors[lo:hi]).translate(self._times_n), "big")
+                 + int.from_bytes(vector * (hi - lo), "big")
                  ).to_bytes(total, "big")
 
         def split(flat):
             lane = pairs.translate(flat)
             return [lane[i:i + width] for i in range(0, total, width)]
 
-        return vector.translate(self._neg_lane), [
-            (op, split(right), None if left is None else split(left))
-            for op, right, left in self._lane_tables
-        ]
+        return [(op, split(right), None if left is None else split(left))
+                for op, right, left in self._lane_tables]
 
-    def _row_products(self, vector):
+    def _row_products(self, vector, lo, hi):
         """`_lane_products` for tuple vectors: `map` builds each product in C
         from the rows that the new vector's coordinates select."""
+        others = self.vectors[lo:hi]
+
         def build(rows):
-            return [tuple(map(getitem, rows, ovec)) for ovec in self.vectors]
+            return [tuple(map(getitem, rows, ovec)) for ovec in others]
 
         # transpose[u][w] = table[w][u]: u is the new vector's coordinate
-        return tuple(map(self.base.neg.__getitem__, vector)), [
-            (op, build([transpose[u] for u in vector]),
-             None if commutative else build([table[u] for u in vector]))
-            for op, (table, transpose, commutative) in self._tables
-        ]
+        return [(op, build([transpose[u] for u in vector]),
+                 None if commutative else build([table[u] for u in vector]))
+                for op, (table, transpose, commutative) in self._tables]
+
+    def _walk(self):
+        """Yield (vector, size, parent) for each candidate not yet admitted,
+        in discovery order: the generators, then size levels 2, 3, ...  while
+        a product of two admitted elements can still reach the level."""
+        vectors, sizes, index = self.vectors, self.sizes, self.index
+        grid = list(product(range(self.base.size), repeat=self.k))
+        for d in range(self.k):
+            vector = self._encode(val[d] for val in grid)
+            if vector not in index:
+                yield vector, 1, (_GENERATOR, d, None)
+        level = 2
+        while level <= 2 * sizes[-1] + 1:
+            # every element has size below `level`; a new one of size t pairs
+            # with the others of size level - 1 - t <= t, so t >= level // 2
+            for new_id in range(bisect_left(sizes, level // 2), len(sizes)):
+                size, vector = sizes[new_id], vectors[new_id]
+                if size == level - 1:
+                    neg = self._encode(map(self.base.neg.__getitem__, vector))
+                    if neg not in index:
+                        yield neg, level, (_UNARY, new_id, None)
+                    continue
+                other_size = level - 1 - size
+                lo = bisect_left(sizes, other_size)
+                hi = min(bisect_right(sizes, other_size), new_id + 1)
+                products = self._products(vector, lo, hi)
+                # with other_id == new_id, both positions give one vector
+                # and one parent, so the second is never new
+                for other_id in range(lo, hi):
+                    at = other_id - lo
+                    for op, right, left in products:
+                        if right[at] not in index:
+                            yield right[at], level, (op, other_id, new_id)
+                        if left is not None and left[at] not in index:
+                            yield left[at], level, (op, new_id, other_id)
+            level += 1
 
     def _pop_next(self):
         """Admit the next new element; returns its id or None when closed.
-
-        Pushes run in one loop over the admitted elements, whichever builder
-        made the products: per other element, per operation, (other, new)
-        and then (new, other).  A commutative table's mirrored product would
-        repeat (other, new) at the same size, and `_push` would drop it, so
-        it is not built.
-        """
-        push, heap = self._push, self._heap
-        while heap:
-            size, _, vector, parent = heap[0]
-            if vector in self.index:
-                heapq.heappop(heap)
-                continue
-            # a cap that fires leaves the closure as it was
-            new_id = len(self.vectors)
-            if new_id >= self.element_cap:
-                raise CapExceeded(
-                    f"free algebra over {self.base.name} on {self.k} generators "
-                    f"exceeded {self.element_cap} elements"
-                )
-            if len(heap) > DEFAULT_FREE_PENDING_CAP:
-                raise CapExceeded(
-                    f"free algebra over {self.base.name} on {self.k} generators "
-                    f"has {len(heap)} pending candidates after {new_id} "
-                    f"elements (cap {DEFAULT_FREE_PENDING_CAP})"
-                )
-            heapq.heappop(heap)
-            self.index[vector] = new_id
-            self.vectors.append(vector)
-            self.sizes.append(size)
-            self.parents.append(parent)
-            neg, products = self._products(vector)
-            push(neg, size + 1, (_UNARY, new_id, None))
-            for other_id, osize in enumerate(self.sizes):
-                joint = osize + size + 1
-                for op, right, left in products:
-                    if left is None or other_id != new_id:
-                        push(right[other_id], joint, (op, other_id, new_id))
-                    if left is not None:
-                        push(left[other_id], joint, (op, new_id, other_id))
-            return new_id
-        self.closed = True
-        return None
+        The walk's candidate is held until admitted, so a cap that fires
+        leaves the closure as it was."""
+        if self._held is None:
+            self._held = next(self._candidates, None)
+            if self._held is None:
+                self.closed = True
+                return None
+        new_id = len(self.vectors)
+        if new_id >= self.element_cap:
+            raise CapExceeded(
+                f"free algebra over {self.base.name} on {self.k} generators "
+                f"exceeded {self.element_cap} elements"
+            )
+        vector, size, parent = self._held
+        self._held = None
+        self.index[vector] = new_id
+        self.vectors.append(vector)
+        self.sizes.append(size)
+        self.parents.append(parent)
+        return new_id
 
     def ensure(self, element_id):
         """Grow until `element_id` exists; False once the closure is complete."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -188,19 +189,33 @@ def test_zero_cap_is_honoured(capsys, argv):
     assert report["data"]["error"] == "CapExceeded"
 
 
-def test_free_closure_pending_cap_stops_a_closure_the_element_cap_cannot():
-    # crystal on 2 generators is far below the default element cap of 20000
-    # when its heap of pending candidates passes the pending cap
+@pytest.mark.parametrize("algebra, generators", [
+    ("crystal", "2"), ("belnap-m", "2"), ("boolean2", "4"),
+], ids=["crystal-2", "belnap-m-2", "boolean2-4"])
+def test_free_closure_element_cap_stops_a_large_closure(algebra, generators):
+    # none of these closes below the default element cap of 20000; the free
+    # Boolean algebra on 4 generators has 65536 elements
     result = subprocess.run(
         [sys.executable, "-m", "relog", "--format", "json", "free-algebra",
-         "--algebra", "crystal", "--generators", "2"],
+         "--algebra", algebra, "--generators", generators],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 2
     report = json.loads(result.stderr)
     validate_report(report)
     assert report["data"]["error"] == "CapExceeded"
-    assert "pending candidates" in report["data"]["message"]
+    assert "exceeded 20000 elements" in report["data"]["message"]
+
+
+def test_free_algebra_refuses_a_huge_generator_count_before_building_its_grid(capsys):
+    start = time.perf_counter()
+    code, report = run_json(capsys, "free-algebra", "--algebra", "crystal",
+                            "--generators", "10000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    validate_report(report)
+    assert report["data"]["error"] == "CapExceeded"
+    assert "6**10000000 coordinates (cap 216)" in report["data"]["message"]
 
 
 @pytest.mark.parametrize("argv", [

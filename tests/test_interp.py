@@ -140,6 +140,15 @@ def test_free_algebra_caps():
         free_algebra(C, 4)  # 6^4 coordinates exceed the default grid cap
     with pytest.raises(CapExceeded):
         FreeAlgebra(C, 1, element_cap=10).freeze()
+    # the free algebra on one Boolean generator has exactly 4 elements
+    assert FreeAlgebra(B2, 1, element_cap=4).freeze().element_count == 4
+    # a cap that fires keeps the candidate it stopped, so firing again leaves
+    # the closure as it was
+    capped = FreeAlgebra(B2, 1, element_cap=3)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            capped.freeze()
+        assert len(capped.vectors) == 3 and not capped.closed
 
 
 # A 17-element chain, one past the byte-lane builder's 16: meet and join are
@@ -156,6 +165,9 @@ CHAIN17 = FiniteAlgebra(
 # (base, generators, elements to grow to, or None to close)
 REFERENCE_CLOSURE_CASES = {
     "crystal, 2 generators, to 300": lambda: (C, 2, 300),
+    "belnap-m, 2 generators, to 400": lambda: (M, 2, 400),
+    # 216 coordinates, the default coordinate cap
+    "crystal, 3 generators, to 300": lambda: (C, 3, 300),
     "boolean2, 3 generators": lambda: (B2, 3, None),
     "crystal": lambda: (C, 1, None),
     "belnap-m": lambda: (M, 1, None),
@@ -187,6 +199,18 @@ def test_free_algebra_matches_reference_closure(case):
         return closure_state(fa)
 
     assert state(FreeAlgebra) == state(ReferenceFreeAlgebra)
+
+
+def test_grown_free_algebra_holds_only_its_elements():
+    """crystal on 2 generators has no small closure: growing it to 1000
+    elements builds candidates only for the size levels it reaches."""
+    tracemalloc.start()
+    try:
+        assert FreeAlgebra(C, 2).ensure(999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_shared_free_algebra_cache_is_bounded():

@@ -12,7 +12,7 @@ commutative, so they tell a closure that skips an argument position apart.
 """
 
 import heapq
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from relog.algebra import FiniteAlgebra, builtin_boolean2, power
 from relog.interp import FreeAlgebra
@@ -188,11 +188,30 @@ def brute_force_congruence_lattice(algebra):
 
 
 class ReferenceFreeAlgebra(FreeAlgebra):
-    """FreeAlgebra with its closure step built one coordinate at a time.
+    """FreeAlgebra with a uniform-cost queue in place of the level walk, and
+    its closure step built one coordinate at a time.
 
-    Both orientations of every binary table are pushed for every pair, so no
-    commutativity is assumed anywhere.  Only the vector encoding, `bytes` or
-    tuple, is the implementation's."""
+    Candidates wait in a heap ordered by (size, push count); a vector is
+    pushed again only at a smaller size.  Both orientations of every binary
+    table are pushed for every pair, so no commutativity is assumed
+    anywhere.  Only the vector encoding, `bytes` or tuple, is the
+    implementation's."""
+
+    def __init__(self, base, k, **caps):
+        super().__init__(base, k, **caps)
+        self._heap = []
+        self._best = {}          # vector -> least size pushed
+        self._pushes = count()
+        grid = list(product(range(base.size), repeat=k))
+        for d in range(k):
+            self._push(self._encode(val[d] for val in grid), 1, ("gen", d, None))
+
+    def _push(self, vector, size, parent):
+        best = self._best.get(vector)
+        if best is not None and best <= size:
+            return
+        self._best[vector] = size
+        heapq.heappush(self._heap, (size, next(self._pushes), vector, parent))
 
     def _pop_next(self):
         encode = self._encode
@@ -228,8 +247,9 @@ class ReferenceFreeAlgebra(FreeAlgebra):
 
 
 def closure_state(fa):
-    """What a closure has built so far: vectors, sizes, parents and the heap."""
-    return fa.vectors, fa.sizes, fa.parents, sorted(fa._heap)
+    """What a closure has built so far: vectors, sizes, parents, and whether
+    it is complete."""
+    return fa.vectors, fa.sizes, fa.parents, fa.closed
 
 
 def set_partitions(n):
