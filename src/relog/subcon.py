@@ -5,18 +5,21 @@ basic operations (unary polynomial closure).  The congruence lattice is the
 join-closure of the principal congruences of covering pairs, after R. Freese,
 "Computing congruences efficiently", Algebra Universalis 59 (2008): on a
 lattice-based algebra these generate every congruence.  A table that fails a
-lattice law falls back to all pairs as generators.  Subuniverses grow one
-generator at a time from already-closed bases.  Everything here is exhaustive:
+lattice law falls back to all pairs as generators.  Subuniverses are bitmasks
+over the elements and grow one generator at a time from already-closed bases;
+a new element is combined with all members by one lookup per byte of the
+member mask, in tables built once per algebra.  Everything here is exhaustive:
 the results are exact, not sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .algebra import FiniteAlgebra, quotient, subalgebra, validate_relevant_algebra
-from .errors import NotACongruence, SizeCapExceeded
+from .errors import NotACongruence, SizeCapExceeded, UnknownElement
 
 DEFAULT_SUBUNIVERSE_CAP = 24
 DEFAULT_CONGRUENCE_CAP = 100
@@ -271,60 +274,99 @@ def generated_subuniverse(algebra, seed):
     """Least subuniverse containing `seed`: fixed point under the four operations.
 
     The signature has no constants, so the empty seed closes to the empty set.
+    A seed element outside range(algebra.size) raises UnknownElement.
     """
-    members = set(seed)
-    return _close(algebra, members, list(members))
+    mask = 0
+    for x in seed:
+        if not 0 <= x < algebra.size:
+            raise UnknownElement(f"{x!r} is not an element index of {algebra.name!r}")
+        mask |= 1 << x
+    return _members(_grow(_closure_tables(algebra), mask, mask))
 
 
-def _close(algebra, members, frontier):
-    """Grow the set `members` in place to a subuniverse and return it sorted.
+@lru_cache(maxsize=8)
+def _closure_tables(algebra):
+    """Per element z: the bit of neg z, and one table per byte of a member mask.
 
-    `frontier` lists the members not yet combined; every other member must
-    already form a closed set.  Only frontier elements and elements added on the
-    way are combined with the members, so a closed base is never recombined.
+    Entry b of byte k's table is the mask of every product z op y and y op z,
+    over the three binary tables and every y = 8k + i with bit i set in b.
+    An algebra of fewer than eight elements has one table of 2**size entries.
+    Built once per algebra, since every closure over it reads the same tables.
     """
-    a = algebra
-    sides = _translation_tables(a)
-    while frontier:
-        x = frontier.pop()
-        candidates = [a.neg[x]]
-        for table in sides:
-            row = table[x]
-            candidates.extend(row[y] for y in members)
-        for c in candidates:
-            if c not in members:
-                members.add(c)
-                frontier.append(c)
-    return tuple(sorted(members))
+    n = algebra.size
+    sides = _translation_tables(algebra)
+    tables = []
+    for z in range(n):
+        products = [0] * n
+        for side in sides:
+            for y, v in enumerate(side[z]):
+                products[y] |= 1 << v
+        chunks = []
+        for lo in range(0, n, 8):
+            table = [0]
+            for bits in products[lo:lo + 8]:
+                table += [t | bits for t in table]
+            chunks.append(table)
+        tables.append((1 << algebra.neg[z], chunks))
+    return tables
+
+
+def _grow(tables, members, pending):
+    """Close the member mask `members` to a subuniverse and return its mask.
+
+    `pending` marks the members not yet combined; the other members must
+    already form a closed set.  Each pending element z is combined, in both
+    argument positions, with every member at the time it is taken: one table
+    lookup per byte of the member mask.  A pair of members is thus combined
+    when the later of the two is taken, and a closed base is never recombined.
+    """
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        products, chunks = tables[low.bit_length() - 1]
+        for table, byte in zip(chunks, members.to_bytes(len(chunks), "little")):
+            products |= table[byte]
+        fresh = products & ~members
+        members |= fresh
+        pending |= fresh
+    return members
+
+
+def _members(mask):
+    """The elements whose bits are set in `mask`, in increasing order."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERSE_CAP):
     """Every subuniverse, found by closure growth rather than powerset filtering.
 
-    Starts from the closure of each singleton and repeatedly extends each found
-    subuniverse by one outside generator; this reaches every subuniverse because
-    closures are monotone in their seeds.  An extension combines only the new
-    generator and the elements it brings in, never the base's own pairs.
-    Results are canonically sorted by (size, members).
+    Subuniverses are held as bitmasks over the elements.  Starting from the
+    empty set, each found subuniverse is extended by one outside generator and
+    closed; this reaches every subuniverse because closures are monotone in
+    their seeds.  An extension combines only the new generator and the elements
+    it brings in, never the base's own pairs, by lookups in tables built once
+    per algebra.  The masks become member tuples once, at the end, and are
+    canonically sorted by (size, members).
     """
     if algebra.size > cap:
         raise SizeCapExceeded(
             f"subuniverse enumeration of {algebra.name} ({algebra.size} elements) "
             f"exceeds cap {cap}"
         )
-    found = {()}
-    frontier = [()]
+    tables = _closure_tables(algebra)
+    bits = [1 << x for x in range(algebra.size)]
+    found = {0}
+    frontier = [0]
     while frontier:
         base = frontier.pop()
-        base_set = set(base)
-        for x in range(algebra.size):
-            if x in base_set:
+        for bit in bits:
+            if base & bit:
                 continue
-            grown = _close(algebra, base_set | {x}, [x])
+            grown = _grow(tables, base | bit, bit)
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)
-    result = sorted(found, key=lambda s: (len(s), s))
+    result = sorted(map(_members, found), key=lambda s: (len(s), s))
     if proper_nonempty_only:
         full = tuple(range(algebra.size))
         result = [s for s in result if s and s != full]

@@ -106,6 +106,35 @@ def test_validate_mutated_file_exits_one(capsys, tmp_path):
     assert "residuation" in out
 
 
+def test_algebra_file_failing_the_checklist_warns_once_on_stderr(capsys, tmp_path):
+    from relog.algebra import builtin_crystal, serialize
+
+    text = serialize(builtin_crystal())
+    plain = tmp_path / "crystal.alg"
+    plain.write_text(text)
+    # neg sends both a and b to a: not an involution
+    lines = text.splitlines()
+    assert lines[-1] == "top f a b t bot"
+    lines[-1] = "top f a a t bot"
+    bent = tmp_path / "bent.alg"
+    bent.write_text("\n".join(lines) + "\n")
+    warning = (f"warning: crystal from {bent} fails the relevant-algebra axioms "
+               "neg-involution, neg-de-morgan, residuation; the command runs anyway\n")
+
+    code, out, err = run_cli(capsys, "subalgebras", "--algebra", str(bent))
+    assert (code, err) == (0, warning)
+    assert out.splitlines()[0] == "6 subuniverses of crystal:"
+    code, out, err = run_cli(capsys, "--format", "json", "subalgebras",
+                             "--algebra", str(bent))
+    assert (code, err) == (0, warning)
+    assert len(json.loads(out)["data"]["universes"]) == 6
+    # a file that passes, and `validate` itself, print no warning
+    assert run_cli(capsys, "subalgebras", "--algebra", str(plain))[2] == ""
+    code, out, err = run_cli(capsys, "validate", "--algebra", str(bent))
+    assert (code, err) == (1, "")
+    assert "[FAIL] neg-involution" in out
+
+
 def test_validate_crystal_ok(capsys):
     code, out, _ = run_cli(capsys, "validate", "--algebra", "crystal")
     assert code == 0

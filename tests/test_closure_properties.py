@@ -1,6 +1,9 @@
 """Property tests on random small tables, commutative or not: the closures
-that skip a commutative table's second argument position, and interpolation
-decided from its two masks, against their oracles."""
+that skip a commutative table's second argument position, the subuniverse
+closure on member masks, and interpolation decided from its two masks,
+against their oracles."""
+
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,14 +16,21 @@ from relog.errors import (
 )
 from relog.interp import FreeAlgebra, maehara_interpolant, verify_interpolant
 from relog.logic import And, Fuse, Not, Or, Var, entails, verify_countermodel
-from relog.subcon import Congruence, all_subuniverses, principal_congruence
+from relog.subcon import (
+    Congruence,
+    all_subuniverses,
+    generated_subuniverse,
+    principal_congruence,
+)
 from tests_oracle_helper import (
     ReferenceFreeAlgebra,
     brute_force_principal_congruences,
     closure_state,
     is_compatible,
     powerset_subuniverses,
+    reference_generated_subuniverse,
     reference_interpolant_masks,
+    reference_subuniverses,
     set_partitions,
 )
 
@@ -69,6 +79,15 @@ def test_closures_match_their_oracles_on_random_tables(algebra, other):
     for (x, y), labels in brute_force_principal_congruences(algebra).items():
         assert principal_congruence(algebra, x, y).block_of == labels, (x, y)
     assert all_subuniverses(algebra) == powerset_subuniverses(algebra)
+    # Member masks of two or three bytes.  Tables whose products are all one
+    # element make every subset holding it closed, 2**19 + 1 subuniverses on
+    # 20 elements, so the enumerations are compared up to 4096 of them.
+    for seed in combinations(range(pair.size), 2):
+        assert generated_subuniverse(pair, seed) == \
+            reference_generated_subuniverse(pair, seed), seed
+    reference = reference_subuniverses(pair, limit=4096)
+    if reference is not None:
+        assert all_subuniverses(pair, cap=pair.size) == reference
     for labels in set_partitions(algebra.size):
         blocks = [[x for x in range(algebra.size) if labels[x] == b]
                   for b in set(labels)]

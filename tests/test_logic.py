@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relog.algebra import (
     arrow,
@@ -113,11 +114,25 @@ def _random_formula(rng, variables, depth):
     )
 
 
-def test_print_parse_round_trip():
-    rng = random.Random(20250808)
-    for _ in range(300):
-        formula = _random_formula(rng, ["p", "q", "r"], 4)
-        assert parse_formula(str(formula)) == formula
+def _formulas(depth):
+    """Formulas over ~ & | * nested at most `depth` connectives deep, over
+    variable names of the parser's alphabet."""
+    leaves = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).map(Var)
+    if depth == 0:
+        return leaves
+    inner = _formulas(depth - 1)
+    return st.one_of(
+        leaves,
+        inner.map(Not),
+        st.builds(lambda ctor, left, right: ctor(left, right),
+                  st.sampled_from((And, Or, Fuse)), inner, inner),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_formulas(6))
+def test_print_parse_round_trip(formula):
+    assert parse_formula(str(formula)) == formula
 
 
 def test_size_counts_nodes():

@@ -13,7 +13,7 @@ from relog.algebra import (
     subalgebra,
     validate_relevant_algebra,
 )
-from relog.errors import NotACongruence, SizeCapExceeded
+from relog.errors import NotACongruence, SizeCapExceeded, UnknownElement
 from relog.subcon import (
     Congruence,
     all_subuniverses,
@@ -39,6 +39,7 @@ from tests_oracle_helper import (
     brute_force_principal_congruences,
     is_closed,
     powerset_subuniverses,
+    reference_subuniverses,
 )
 
 C = builtin_crystal()
@@ -70,6 +71,12 @@ def test_generated_subuniverse_singletons():
     assert generated_subuniverse(C, set()) == ()
 
 
+@pytest.mark.parametrize("seed", [{-1}, {6}, {7}, {C.el("a"), 100}])
+def test_generated_subuniverse_rejects_seeds_out_of_range(seed):
+    with pytest.raises(UnknownElement):
+        generated_subuniverse(C, seed)
+
+
 @pytest.mark.parametrize(
     "algebra",
     [C, B2, M, power(B2, 3), NOT_A_LATTICE, IMPLICATION_FUSION, LEFT_BLIND_MEET,
@@ -78,6 +85,20 @@ def test_generated_subuniverse_singletons():
 )
 def test_all_subuniverses_matches_powerset_oracle(algebra):
     assert all_subuniverses(algebra) == powerset_subuniverses(algebra)
+
+
+@pytest.mark.parametrize(
+    "algebra, universes",
+    [(power(C, 2), 94), (power(B2, 5), 53), (power(M, 2), 106),
+     (direct_product([LEFT_BLIND_MEET, SKEW_MEET, IMPLICATION_FUSION]), 46)],
+    ids=["crystal^2", "boolean2^5", "belnap-m^2", "left-blind.skew.implication"],
+)
+def test_all_subuniverses_of_products_match_the_reference(algebra, universes):
+    """Products of 24 to 64 elements, member masks of three to eight bytes;
+    the last product's tables are not commutative."""
+    found = all_subuniverses(algebra, cap=algebra.size)
+    assert len(found) == universes
+    assert found == reference_subuniverses(algebra)
 
 
 def test_crystal_proper_universes_are_the_known_eight():

@@ -3,12 +3,14 @@
 The value-vector oracle enumerates raw formula trees by node count, with no
 closure machinery in common with the implementation under test.  The
 reference free-algebra closure builds every product coordinate by coordinate
-and pushes both orientations of every table.  The subuniverse oracle filters
-the whole powerset, and the congruence-lattice oracle joins the principal
-congruences of all pairs with every congruence found.  The principal-congruence
-oracle searches all set partitions.  The valuation oracles list every
-valuation of a grid before filtering it.  The fixture tables below are not
-commutative, so they tell a closure that skips an argument position apart.
+and pushes both orientations of every table.  The subuniverse oracles filter
+the whole powerset, or close element sets one generator at a time in both
+argument positions of every table.  The congruence-lattice oracle joins the
+principal congruences of all pairs with every congruence found.  The
+principal-congruence oracle searches all set partitions.  The valuation
+oracles list every valuation of a grid before filtering it.  The fixture
+tables below are not commutative, so they tell a closure that skips an
+argument position apart.
 """
 
 import heapq
@@ -166,6 +168,49 @@ def powerset_subuniverses(algebra):
             if is_closed(algebra, subset):
                 out.append(subset)
     return sorted(out, key=lambda s: (len(s), s))
+
+
+def _reference_close(algebra, members, frontier):
+    """Grow the set `members` in place to a subuniverse and return it sorted.
+    Every frontier element is combined, in both argument positions of all
+    three binary tables, with every member; the other members must already
+    form a closed set."""
+    while frontier:
+        x = frontier.pop()
+        candidates = [algebra.neg[x]]
+        for table in (algebra.meet, algebra.join, algebra.fusion):
+            candidates.extend(table[x][y] for y in members)
+            candidates.extend(table[y][x] for y in members)
+        for c in candidates:
+            if c not in members:
+                members.add(c)
+                frontier.append(c)
+    return tuple(sorted(members))
+
+
+def reference_generated_subuniverse(algebra, seed):
+    """Least subuniverse containing `seed`, from element sets."""
+    return _reference_close(algebra, set(seed), list(seed))
+
+
+def reference_subuniverses(algebra, limit=None):
+    """Every subuniverse, sorted by (size, members), from element sets: each
+    found subuniverse is extended by one outside generator and closed.  None
+    once more than `limit` subuniverses are found."""
+    found = {()}
+    frontier = [()]
+    while frontier:
+        base = frontier.pop()
+        base_set = set(base)
+        for x in range(algebra.size):
+            if x not in base_set:
+                grown = _reference_close(algebra, base_set | {x}, [x])
+                if grown not in found:
+                    found.add(grown)
+                    frontier.append(grown)
+                    if limit is not None and len(found) > limit:
+                        return None
+    return sorted(found, key=lambda s: (len(s), s))
 
 
 def brute_force_congruence_lattice(algebra):
