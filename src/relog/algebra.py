@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import product as product_of
+from typing import NamedTuple
 
 from .errors import (
     ArityError,
@@ -22,8 +23,23 @@ from .errors import (
 )
 
 DEFAULT_ELEMENT_CAP = 10**7
+# Largest algebra with lane tables: byte x*n + y must stay within 255.
+MAX_LANE_SIZE = 16
 
 _OP_NAMES = ("meet", "join", "fusion", "neg")
+
+
+class LaneTables(NamedTuple):
+    """256-byte `bytes.translate` tables for evaluating over byte lanes,
+    one element index per byte.  A binary operation on lanes a and b is
+    `a.translate(times_n)` read as a big int, plus b read as one, so byte
+    x*n + y holds the pair (x, y) and no carry crosses a byte; translating
+    that through a flat table gives the products."""
+    times_n: bytes        # x -> x*n
+    neg: bytes            # x -> neg x
+    binary: tuple         # meet, join, fusion: (flat, flat transpose or None)
+    designated: bytes     # x -> 1 if x is designated, else 0
+    undesignated: bytes   # x -> 0 if x is designated, else 1
 
 
 class FiniteAlgebra:
@@ -55,6 +71,7 @@ class FiniteAlgebra:
         )
         self._designated = None
         self._binary_tables = None
+        self._lane_tables = None
         self._hash = hash(self.table_key())
 
     @property
@@ -100,6 +117,32 @@ class FiniteAlgebra:
                 triples.append((table, table if commutative else transpose, commutative))
             self._binary_tables = tuple(triples)
         return self._binary_tables
+
+    @property
+    def lane_tables(self):
+        """The `LaneTables` of this algebra, or None past MAX_LANE_SIZE
+        elements.  A flat table sends x*n + y to table[x][y]; the flat
+        transpose, None for a commutative table, to table[y][x].  Built once,
+        on first use."""
+        if self._lane_tables is None and self.size <= MAX_LANE_SIZE:
+            n = self.size
+
+            def flat(t):
+                return bytes(t[x][y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
+
+            def pad(values):
+                return bytes(values) + bytes(256 - n)
+
+            designated = [x in self.designated for x in range(n)]
+            self._lane_tables = LaneTables(
+                times_n=pad(x * n for x in range(n)),
+                neg=pad(self.neg),
+                binary=tuple((flat(table), None if commutative else flat(transpose))
+                             for table, transpose, commutative in self.binary_tables),
+                designated=pad(designated),
+                undesignated=pad(not d for d in designated),
+            )
+        return self._lane_tables
 
     def table_key(self):
         """Hashable identity of the element list and the four tables."""

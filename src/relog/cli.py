@@ -62,19 +62,18 @@ def _read_algebra(spec_text):
     )
 
 
-def _resolve_algebra(spec_text):
+def _resolve_algebra(args, spec_text):
     """The named algebra.  A file whose tables fail the relevant-algebra
-    checklist is used as it is, after one warning line on stderr."""
+    checklist is used as it is, after one warning line on stderr; the
+    warning is also kept in `args.warnings`, for the report's data."""
     algebra = _read_algebra(spec_text)
     if spec_text not in BUILTIN_NAMES:
         failed = [r.axiom for r in validate_relevant_algebra(algebra) if not r.holds]
         if failed:
-            print(
-                f"warning: {algebra.name} from {spec_text} fails the "
-                f"relevant-algebra axioms {', '.join(failed)}; the command "
-                "runs anyway",
-                file=sys.stderr,
-            )
+            warning = (f"{algebra.name} from {spec_text} fails the relevant-algebra "
+                       f"axioms {', '.join(failed)}; the command runs anyway")
+            print(f"warning: {warning}", file=sys.stderr)
+            args.warnings.append(warning)
     return algebra
 
 
@@ -126,7 +125,7 @@ def _cmd_validate(args):
 
 
 def _cmd_subalgebras(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     subs = all_subuniverses(algebra, proper_nonempty_only=args.proper)
     if not args.include_empty:
         subs = [s for s in subs if s]
@@ -140,7 +139,7 @@ def _cmd_subalgebras(args):
 
 
 def _cmd_congruences(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     lattice = congruence_lattice(algebra)
     blocks = [c.block_names() for c in lattice]
     lines = [f"{len(lattice)} congruences of {algebra.name}:"]
@@ -152,7 +151,7 @@ def _cmd_congruences(args):
 
 
 def _cmd_check(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     prop = args.property
     data = {"algebra": algebra.name, "property": prop}
     if prop == "simple":
@@ -185,8 +184,8 @@ def _cmd_check(args):
 
 
 def _cmd_homs(args):
-    source = _resolve_algebra(args.source)
-    target = _resolve_algebra(args.target)
+    source = _resolve_algebra(args, args.source)
+    target = _resolve_algebra(args, args.target)
     if args.kind == "hom":
         morphisms = homomorphisms(source, target)
     elif args.kind == "embedding":
@@ -208,7 +207,7 @@ def _cmd_homs(args):
 
 
 def _cmd_autos(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     autos = automorphisms(algebra)
     lines = [f"{len(autos)} automorphisms of {algebra.name}:"]
     lines += ["  " + ", ".join(f"{a}->{b}" for a, b in m.to_pairs()) for m in autos]
@@ -249,7 +248,7 @@ def _pick_embedding(apex, target, pins):
 
 
 def _cmd_amalgamate(args):
-    generator = _resolve_algebra(args.algebra)
+    generator = _resolve_algebra(args, args.algebra)
     from .algebra import subalgebra as make_sub
 
     if args.all_spans:
@@ -307,7 +306,7 @@ def _cmd_amalgamate(args):
 
 
 def _cmd_entails(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     algebras = hs_class(algebra) if args.use_hs_class else [algebra]
     premises = parse_premises(args.premises or "")
     conclusion = parse_formula(args.conclusion)
@@ -354,7 +353,7 @@ def _load_problem(path):
 
 
 def _cmd_interpolate(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     if args.problem:
         sigma, gamma, alpha = _load_problem(args.problem)
     else:
@@ -387,7 +386,7 @@ def _cmd_interpolate(args):
 
 
 def _cmd_vsp_scan(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     violations = vsp_scan(algebra, args.bound)
     data = {
         "algebra": algebra.name,
@@ -407,7 +406,7 @@ def _cmd_vsp_scan(args):
 
 
 def _cmd_free_algebra(args):
-    algebra = _resolve_algebra(args.algebra)
+    algebra = _resolve_algebra(args, args.algebra)
     fa = FreeAlgebra(algebra, args.generators, coordinate_cap=args.cap_coordinates,
                      element_cap=args.cap_elements)
     fa.freeze()
@@ -569,6 +568,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     out = sys.stdout
+    args.warnings = []
     try:
         report, lines = _COMMANDS[args.command](args)
     except InterpolantNotFound as exc:
@@ -581,6 +581,8 @@ def main(argv=None):
                          data={"error": type(exc).__name__, "message": str(exc)})
         lines = [f"error: {exc}"]
         out = sys.stderr
+    if args.warnings:
+        report["data"]["warnings"] = args.warnings
     _emit(report, lines, args.format, out)
     return report["exit_code"]
 

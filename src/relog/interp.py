@@ -65,7 +65,7 @@ class FreeAlgebra:
     - n <= 16 (every builtin): vectors are `bytes`.  As x*n + y <= 255, the
       products of the new vector with a range of admitted ones come from one
       big-int add over their concatenation and one `bytes.translate` per
-      table.
+      table, through the base's `lane_tables`.
     - n > 16 (products, `vsp_scan` classes): vectors are tuples, and each
       product is a C-level `map` over precomputed table rows.
     """
@@ -94,17 +94,11 @@ class FreeAlgebra:
         self.closed = False
         self._candidates = self._walk()
         self._held = None        # a pulled candidate that a cap kept out
-        if n <= 16:
-            # 256-byte tables: x -> x*n, and x*n + y -> table[x][y] and
-            # -> table[y][x], the latter None when the table commutes
-            def flat(t):
-                return bytes(t[x][y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
-
-            self._times_n = bytes(x * n for x in range(n)) + bytes(256 - n)
-            self._lane_tables = tuple(
-                (op, flat(table), None if commutative else flat(transpose))
-                for op, (table, transpose, commutative) in zip(_BINARY_OPS, base.binary_tables)
-            )
+        lanes = base.lane_tables
+        if lanes is not None:
+            self._times_n = lanes.times_n
+            self._lane_tables = tuple((op, right, left) for op, (right, left)
+                                      in zip(_BINARY_OPS, lanes.binary))
             self._encode, self._products = bytes, self._lane_products
         else:
             self._tables = tuple(zip(_BINARY_OPS, base.binary_tables))

@@ -4,6 +4,12 @@ The connectives are & (meet), | (join), * (fusion) and ~ (neg); the arrow is
 defined, x -> y = ~(x * ~y), and is desugared at parse time.  Consequence is
 finitary matrix consequence over a list of algebras: premises designated at a
 valuation must force the conclusion designated.
+
+`entails` decides it over byte lanes for algebras of at most 16 elements: a
+lane holds one element index per point of a chunk of the valuation grid, and
+each distinct subformula is one `bytes.translate` (negation) or one big-int
+add and one `translate` (a binary connective) per chunk.  Larger algebras
+are swept one valuation at a time by `designating_valuations`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from itertools import product
 from .errors import ParseError, SizeCapExceeded, UnboundVariable
 
 DEFAULT_VALUATION_CAP = 10**7
+# Longest lane, in bytes, one per valuation: the grid is cut into chunks of
+# at most this many points by its leading variables.
+_LANE_BYTES = 1 << 14
 # Parsing, str, hashing and evaluate recurse at most three frames a level, so
 # this stays well inside Python's default recursion limit of 1000.
 MAX_FORMULA_DEPTH = 100
@@ -296,6 +305,18 @@ def verify_countermodel(algebra, valuation, premises, conclusion):
     return not algebra.is_designated(evaluate(algebra, valuation, conclusion))
 
 
+def _grid_variables(algebra, formulas):
+    """The sorted variables of `formulas`.  A valuation grid over
+    DEFAULT_VALUATION_CAP points raises SizeCapExceeded."""
+    variables = sorted(set().union(*[f.variables() for f in formulas]))
+    if algebra.size ** len(variables) > DEFAULT_VALUATION_CAP:
+        raise SizeCapExceeded(
+            f"valuation space {algebra.size}^{len(variables)} exceeds cap "
+            f"{DEFAULT_VALUATION_CAP}"
+        )
+    return variables
+
+
 def designating_valuations(algebra, premises, conclusion=None):
     """Yield each valuation of `algebra` that designates every premise and,
     when a conclusion is given, leaves the conclusion undesignated.
@@ -306,12 +327,7 @@ def designating_valuations(algebra, premises, conclusion=None):
     """
     premises = list(premises)
     formulas = premises if conclusion is None else premises + [conclusion]
-    variables = sorted(set().union(*[f.variables() for f in formulas]))
-    if algebra.size ** len(variables) > DEFAULT_VALUATION_CAP:
-        raise SizeCapExceeded(
-            f"valuation space {algebra.size}^{len(variables)} exceeds cap "
-            f"{DEFAULT_VALUATION_CAP}"
-        )
+    variables = _grid_variables(algebra, formulas)
     is_designated = algebra.is_designated
     for assignment in product(range(algebra.size), repeat=len(variables)):
         valuation = dict(zip(variables, assignment))
@@ -321,16 +337,90 @@ def designating_valuations(algebra, premises, conclusion=None):
             yield valuation
 
 
+def _lane_program(tables, variables, formulas):
+    """Number the distinct subformulas of `formulas`, the variables first, in
+    the order of `variables`, and every operand before its result.  Returns
+    one step (table, operand, operand or None) per number past the
+    variables, and the numbers of `formulas`."""
+    slots = {Var(name): i for i, name in enumerate(variables)}
+    steps = []
+    flat = {And: tables.binary[0][0], Or: tables.binary[1][0], Fuse: tables.binary[2][0]}
+
+    def number(formula):
+        slot = slots.get(formula)
+        if slot is None:
+            if isinstance(formula, Not):
+                steps.append((tables.neg, number(formula.arg), None))
+            else:
+                steps.append((flat[type(formula)], number(formula.left),
+                              number(formula.right)))
+            slot = slots[formula] = len(variables) + len(steps) - 1
+        return slot
+
+    return steps, [number(f) for f in formulas]
+
+
+def _lane_countermodel(algebra, premises, conclusion, variables):
+    """The lexicographically least valuation over `variables` that designates
+    every premise and not the conclusion, or None; `algebra` has lane tables.
+
+    The grid is walked in chunks of n**inner points, one per value of the
+    leading k - inner variables, with n**inner <= _LANE_BYTES.  In a chunk,
+    each distinct subformula is one lane, byte i holding its value at the
+    chunk's i-th point.  The premises' designated lanes and the conclusion's
+    undesignated lane are ANDed as ints, and the first set byte is the least
+    countermodel of the chunk; the walk stops at the first chunk with one.
+    """
+    tables = algebra.lane_tables
+    times_n, designated = tables.times_n, tables.designated
+    n, k = algebra.size, len(variables)
+    inner, width = 0, 1
+    while inner < k and width * n <= _LANE_BYTES:
+        inner, width = inner + 1, width * n
+    # the chunk's j-th trailing variable takes each value on runs of n**(inner-1-j)
+    inner_lanes = [b"".join(bytes((v,)) * n ** (inner - 1 - j) for v in range(n)) * n ** j
+                   for j in range(inner)]
+    steps, (*premise_slots, goal) = _lane_program(tables, variables, premises + [conclusion])
+    for prefix in product(range(n), repeat=k - inner):
+        lanes = [bytes((v,)) * width for v in prefix] + inner_lanes
+        for table, left, right in steps:
+            if right is None:
+                lanes.append(lanes[left].translate(table))
+            else:
+                pairs = (int.from_bytes(lanes[left].translate(times_n), "big")
+                         + int.from_bytes(lanes[right], "big"))
+                lanes.append(pairs.to_bytes(width, "big").translate(table))
+        bad = int.from_bytes(lanes[goal].translate(tables.undesignated), "big")
+        for slot in premise_slots:
+            bad &= int.from_bytes(lanes[slot].translate(designated), "big")
+        if bad:
+            # the first set byte of the big-endian `bad`
+            point = width - 1 - (bad.bit_length() - 1) // 8
+            digits = []
+            for _ in range(inner):
+                point, digit = divmod(point, n)
+                digits.append(digit)
+            return dict(zip(variables, prefix + tuple(reversed(digits))))
+    return None
+
+
 def entails(algebras, premises, conclusion):
     """Finitary consequence over a list of algebras.
 
     Holds iff for every algebra and every valuation designating all premises,
     the conclusion is designated.  Countermodels are reported deterministically:
-    first algebra in the list, lexicographically least valuation.
+    first algebra in the list, lexicographically least valuation.  Each
+    algebra's valuation cap is checked when its turn comes, before any of its
+    valuations is evaluated.
     """
     premises = list(premises)
     for algebra in algebras:
-        for valuation in designating_valuations(algebra, premises, conclusion):
+        if algebra.lane_tables is None:
+            valuation = next(designating_valuations(algebra, premises, conclusion), None)
+        else:
+            variables = _grid_variables(algebra, premises + [conclusion])
+            valuation = _lane_countermodel(algebra, premises, conclusion, variables)
+        if valuation is not None:
             return EntailmentVerdict(False, Countermodel(algebra, valuation))
     return EntailmentVerdict(True)
 

@@ -37,33 +37,8 @@ class Morphism:
     def is_isomorphism(self):
         return self.is_injective and self.is_surjective
 
-    @property
-    def is_automorphism(self):
-        return self.is_isomorphism and self.source == self.target
-
     def __call__(self, x):
         return self.mapping[x]
-
-    def compose(self, other):
-        """self after other (apply `other` first)."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return Morphism(other.source, self.target,
-                        tuple(self.mapping[v] for v in other.mapping))
-
-    def preserves_operations(self):
-        s, t, m = self.source, self.target, self.mapping
-        for x in range(s.size):
-            if m[s.neg[x]] != t.neg[m[x]]:
-                return False
-            for y in range(s.size):
-                if m[s.meet[x][y]] != t.meet[m[x]][m[y]]:
-                    return False
-                if m[s.join[x][y]] != t.join[m[x]][m[y]]:
-                    return False
-                if m[s.fusion[x][y]] != t.fusion[m[x]][m[y]]:
-                    return False
-        return True
 
     def to_pairs(self):
         return [
@@ -390,7 +365,3 @@ def amalgamate_span(span, generator, mode="AP", power_bound=1):
                     mode, power_bound, tried,
                 )
     return AmalgamSearchResult(None, mode, power_bound, tried)
-
-
-def identity_morphism(algebra):
-    return Morphism(algebra, algebra, tuple(range(algebra.size)))

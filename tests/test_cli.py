@@ -106,7 +106,8 @@ def test_validate_mutated_file_exits_one(capsys, tmp_path):
     assert "residuation" in out
 
 
-def test_algebra_file_failing_the_checklist_warns_once_on_stderr(capsys, tmp_path):
+def _crystal_files(tmp_path):
+    """A crystal file, and one whose neg fails the axiom checklist."""
     from relog.algebra import builtin_crystal, serialize
 
     text = serialize(builtin_crystal())
@@ -118,6 +119,11 @@ def test_algebra_file_failing_the_checklist_warns_once_on_stderr(capsys, tmp_pat
     lines[-1] = "top f a a t bot"
     bent = tmp_path / "bent.alg"
     bent.write_text("\n".join(lines) + "\n")
+    return plain, bent
+
+
+def test_algebra_file_failing_the_checklist_warns_once_on_stderr(capsys, tmp_path):
+    plain, bent = _crystal_files(tmp_path)
     warning = (f"warning: crystal from {bent} fails the relevant-algebra axioms "
                "neg-involution, neg-de-morgan, residuation; the command runs anyway\n")
 
@@ -133,6 +139,34 @@ def test_algebra_file_failing_the_checklist_warns_once_on_stderr(capsys, tmp_pat
     code, out, err = run_cli(capsys, "validate", "--algebra", str(bent))
     assert (code, err) == (1, "")
     assert "[FAIL] neg-involution" in out
+
+
+def test_checklist_warning_is_in_json_data_only_when_present(capsys, tmp_path):
+    plain, bent = _crystal_files(tmp_path)
+    warning = (f"crystal from {bent} fails the relevant-algebra axioms "
+               "neg-involution, neg-de-morgan, residuation; the command runs anyway")
+    code, out, err = run_cli(capsys, "--format", "json", "entails",
+                             "--algebra", str(bent), "--conclusion", "p -> p")
+    report = json.loads(out)
+    validate_report(report)
+    assert (code, err) == (report["exit_code"], f"warning: {warning}\n")
+    assert report["data"]["warnings"] == [warning]
+    # the warning comes along when the command then fails with an error
+    ten = " | ".join(f"p{i}" for i in range(10))
+    code, out, err = run_cli(capsys, "--format", "json", "entails",
+                             "--algebra", str(bent), "--conclusion", ten)
+    report = json.loads(err.split("\n", 1)[1])
+    validate_report(report)
+    assert code == 2
+    assert report["data"] == {"error": "SizeCapExceeded", "message": report["data"]["message"],
+                              "warnings": [warning]}
+    # no warning, no key: the report of a passing file is the builtin's
+    code, out, err = run_cli(capsys, "--format", "json", "entails",
+                             "--algebra", str(plain), "--conclusion", "p -> p")
+    assert (code, err) == (0, "")
+    assert "warnings" not in json.loads(out)["data"]
+    assert run_cli(capsys, "--format", "json", "entails", "--algebra", "crystal",
+                   "--conclusion", "p -> p")[1] == out
 
 
 def test_validate_crystal_ok(capsys):

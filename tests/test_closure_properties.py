@@ -1,12 +1,14 @@
 """Property tests on random small tables, commutative or not: the closures
 that skip a commutative table's second argument position, the subuniverse
-closure on member masks, and interpolation decided from its two masks,
-against their oracles."""
+closure on member masks, consequence over byte lanes and over the sweep,
+and interpolation decided from its two masks, against their oracles."""
 
 from itertools import combinations
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
+from relog import logic
 from relog.algebra import FiniteAlgebra, product
 from relog.errors import (
     InterpolantNotFound,
@@ -24,6 +26,7 @@ from relog.subcon import (
 )
 from tests_oracle_helper import (
     ReferenceFreeAlgebra,
+    brute_force_designating_valuations,
     brute_force_principal_congruences,
     closure_state,
     is_compatible,
@@ -39,17 +42,25 @@ from tests_oracle_helper import (
 def small_algebras(draw, sizes=(2, 4)):
     """An algebra of `sizes` elements, 2 to 4 by default, with random
     tables.  Each binary table is drawn as it comes, commutative (mirrored
-    from its upper triangle), or blind to its left argument, x op y = g(y).
+    from its upper triangle), blind to its left argument, x op y = g(y), or
+    as the left projection x op y = x with up to two products redrawn.
     Random tables mostly generate only the full congruence; a table blind to
     one argument keeps congruences that a closure visiting one argument
-    position would get wrong."""
+    position would get wrong.  Random tables also make most products close
+    to the whole carrier; a projection keeps every subset closed, so the
+    subuniverses that the other tables leave are many."""
     n = draw(st.integers(*sizes))
     entry = st.integers(0, n - 1)
 
     def binary():
+        shape = draw(st.sampled_from(("projection", "any", "commutative", "left-blind")))
+        if shape == "projection":
+            rows = [[x] * n for x in range(n)]
+            for x, y, z in draw(st.lists(st.tuples(entry, entry, entry), max_size=2)):
+                rows[x][y] = z
+            return rows
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                              min_size=n, max_size=n))
-        shape = draw(st.sampled_from(("any", "commutative", "left-blind")))
         if shape == "commutative":
             rows = [[rows[min(x, y)][max(x, y)] for y in range(n)] for x in range(n)]
         elif shape == "left-blind":
@@ -57,7 +68,12 @@ def small_algebras(draw, sizes=(2, 4)):
         return rows
 
     meet, join, fusion = binary(), binary(), binary()
-    neg = draw(st.lists(entry, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        neg = draw(st.lists(entry, min_size=n, max_size=n))
+    else:
+        neg = list(range(n))
+        for x, z in draw(st.lists(st.tuples(entry, entry), max_size=1)):
+            neg[x] = z
     return FiniteAlgebra("random", [f"e{i}" for i in range(n)], meet, join, fusion, neg)
 
 
@@ -145,3 +161,39 @@ def test_interpolation_matches_its_oracles_on_random_tables(algebra, sigma, gamm
         return
     assert verdict.holds
     assert verify_interpolant(sigma, gamma, alpha, result.delta, [algebra]).ok
+
+
+def assert_entails_matches_the_sweep_oracle(algebras, premises, conclusion):
+    """The verdict of `entails`, and its countermodel's algebra and valuation,
+    are those of the first algebra whose listed grid has a designating
+    valuation, and its first one."""
+    verdict = entails(algebras, premises, conclusion)
+    for algebra in algebras:
+        found = brute_force_designating_valuations(algebra, premises, conclusion)
+        if found:
+            model = verdict.countermodel
+            assert not verdict.holds
+            assert model.algebra is algebra and model.valuation == found[0]
+            assert verify_countermodel(algebra, model.valuation, premises, conclusion)
+            return
+    assert verdict.holds
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_algebras(), small_algebras(sizes=(5, 6)),
+       st.lists(formulas(("p", "q", "r")), max_size=2),
+       formulas(("p", "q", "r")))
+def test_entails_matches_the_sweep_oracle_on_random_tables(algebra, other, premises, conclusion):
+    """Byte lanes on up to 16 elements, one grid point per lane byte, with
+    the grid in one chunk and, under a 4-byte chunk, in many; the sweep on a
+    product of more than 16 elements, with r renamed to p to keep its grid
+    small."""
+    assert other.lane_tables is not None
+    assert_entails_matches_the_sweep_oracle([algebra, other], premises, conclusion)
+    with patch.object(logic, "_LANE_BYTES", 4):
+        assert_entails_matches_the_sweep_oracle([other, algebra], premises, conclusion)
+    big = product([other, other])
+    assert big.lane_tables is None
+    rename = {"r": Var("p")}
+    assert_entails_matches_the_sweep_oracle(
+        [big], [f.substitute(rename) for f in premises], conclusion.substitute(rename))

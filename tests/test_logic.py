@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from relog.algebra import (
     builtin_crystal,
     product as direct_product,
 )
+from relog import logic
 from relog.errors import ParseError, SizeCapExceeded, UnboundVariable
 from relog.interp import vsp_scan
 from relog.logic import (
@@ -244,13 +246,76 @@ def test_mingle_fails_over_both_maximal_algebras():
     assert theorem([B2], mingle).holds
 
 
-def test_valuation_cap():
+def test_valuation_cap(monkeypatch):
+    """The cap fires before any formula is evaluated, over lanes and over
+    the sweep."""
+    def evaluated(*args):
+        raise AssertionError("a formula was evaluated")
+
+    monkeypatch.setattr(logic, "_lane_countermodel", evaluated)
+    monkeypatch.setattr(logic, "evaluate", evaluated)
     # 6^10 valuations, over the default cap of 10^7
     ten_variables = parse_formula(" | ".join(f"p{i}" for i in range(10)))
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=r"valuation space 6\^10 exceeds cap 10000000"):
         theorem([C], ten_variables)
     with pytest.raises(SizeCapExceeded):
         next(designating_valuations(C, [ten_variables]))
+    # the sweep's cap, on 36^5 valuations
+    five_variables = parse_formula(" | ".join(f"p{i}" for i in range(5)))
+    with pytest.raises(SizeCapExceeded, match=r"36\^5"):
+        theorem([direct_product([C, C])], five_variables)
+
+
+def test_each_algebras_cap_is_checked_in_its_turn():
+    """Over [A, B], a countermodel in A ends the search before B's grid,
+    over the cap, is checked."""
+    big = direct_product([C, C])
+    fails = parse_formula("p0 | p1 | p2 | p3 | p4")
+    verdict = entails([C, big], [], fails)
+    assert verdict.countermodel.algebra is C
+    assert verdict.countermodel.named() == {f"p{i}": "bot" for i in range(5)}
+    with pytest.raises(SizeCapExceeded):
+        entails([big, C], [], fails)
+    with pytest.raises(SizeCapExceeded):
+        theorem([C, big], parse_formula("(p0 & p1 & p2 & p3 & p4) -> p0"))
+
+
+# Fifteen variables over boolean2: 2^15 points, two chunks of 2^14 by the
+# value of the leading variable p00.
+FIFTEEN = [f"p{i:02}" for i in range(15)]
+
+
+def test_countermodel_past_the_first_chunk():
+    premises = [Var("p00"), Var("p14")]
+    conclusion = parse_formula("(p01 & ~p01) | " + " | ".join(FIFTEEN[2:14]))
+    verdict = entails([B2], premises, conclusion)
+    expected = {name: int(name in ("p00", "p14")) for name in FIFTEEN}
+    assert verdict.countermodel.valuation == expected
+    assert verify_countermodel(B2, expected, premises, conclusion)
+
+
+def test_countermodel_at_the_last_grid_point():
+    premises = [Var(name) for name in FIFTEEN]
+    conclusion = parse_formula("p07 & ~p07")
+    verdict = entails([B2], premises, conclusion)
+    expected = dict.fromkeys(FIFTEEN, 1)
+    assert verdict.countermodel.valuation == expected
+    assert verify_countermodel(B2, expected, premises, conclusion)
+    assert entails([B2], premises, parse_formula("p07 | ~p07")).holds
+
+
+def test_seven_variable_theorem_stays_within_a_mebibyte():
+    """6^7 points: one lane over the whole grid would take 273 KiB per
+    subformula, a chunk of 6^5 points takes 7.6 KiB."""
+    formula = parse_formula("(v0 & v1 & v2 & v3) -> (v0 | v4 | v5 | v6)")
+    assert C.lane_tables is not None
+    tracemalloc.start()
+    try:
+        assert theorem([C], formula).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # (premises, conclusion or None)

@@ -8,9 +8,10 @@ the whole powerset, or close element sets one generator at a time in both
 argument positions of every table.  The congruence-lattice oracle joins the
 principal congruences of all pairs with every congruence found.  The
 principal-congruence oracle searches all set partitions.  The valuation
-oracles list every valuation of a grid before filtering it.  The fixture
-tables below are not commutative, so they tell a closure that skips an
-argument position apart.
+oracles list every valuation of a grid before filtering it.  The morphism
+checks at the end compose maps and test them against the tables.  The
+fixture tables below are not commutative, so they tell a closure that skips
+an argument position apart.
 """
 
 import heapq
@@ -19,6 +20,7 @@ from itertools import combinations, count, product
 from relog.algebra import FiniteAlgebra, builtin_boolean2, power
 from relog.interp import FreeAlgebra
 from relog.logic import evaluate
+from relog.morph import Morphism
 from relog.subcon import congruence_join, identity_congruence, principal_congruence
 
 _B2 = builtin_boolean2()
@@ -339,3 +341,37 @@ def brute_force_principal_congruences(algebra):
         ), "the finest compatible partition refines every other"
         out[x, y] = finest
     return out
+
+
+# ---------------------------------------------------------------------------
+# Morphism checks, computed from the tables alone
+# ---------------------------------------------------------------------------
+
+def identity_morphism(algebra):
+    return Morphism(algebra, algebra, tuple(range(algebra.size)))
+
+
+def compose(f, g):
+    """f after g (apply `g` first)."""
+    if g.target != f.source:
+        raise ValueError("composition mismatch")
+    return Morphism(g.source, f.target, tuple(f.mapping[v] for v in g.mapping))
+
+
+def is_automorphism(morphism):
+    return morphism.is_isomorphism and morphism.source == morphism.target
+
+
+def preserves_operations(morphism):
+    s, t, m = morphism.source, morphism.target, morphism.mapping
+    for x in range(s.size):
+        if m[s.neg[x]] != t.neg[m[x]]:
+            return False
+        for y in range(s.size):
+            if m[s.meet[x][y]] != t.meet[m[x]][m[y]]:
+                return False
+            if m[s.join[x][y]] != t.join[m[x]][m[y]]:
+                return False
+            if m[s.fusion[x][y]] != t.fusion[m[x]][m[y]]:
+                return False
+    return True
