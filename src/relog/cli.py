@@ -275,11 +275,10 @@ def _cmd_amalgamate(args):
     left = _pick_embedding(apex, left_alg, _parse_pin(args.map_left))
     right = _pick_embedding(apex, right_alg, _parse_pin(args.map_right))
     if not is_simple(generator) or not check_cep_class(hs_class(generator))[0]:
-        print(
-            "warning: the generator is not a finite simple algebra with the "
-            "class congruence extension property; the search runs anyway",
-            file=sys.stderr,
-        )
+        warning = ("the generator is not a finite simple algebra with the "
+                   "class congruence extension property; the search runs anyway")
+        print(f"warning: {warning}", file=sys.stderr)
+        args.warnings.append(warning)
     result = amalgamate_span(
         Span(left, right), mode=args.mode, generator=generator,
         power_bound=args.bound,

@@ -1,11 +1,17 @@
 """Subuniverses, congruences, simplicity and the congruence extension property.
 
 Congruences are generated by closing pairs under one-step translations of the
-basic operations (unary polynomial closure).  The congruence lattice is the
-join-closure of the principal congruences of covering pairs, after R. Freese,
-"Computing congruences efficiently", Algebra Universalis 59 (2008): on a
-lattice-based algebra these generate every congruence.  A table that fails a
-lattice law falls back to all pairs as generators.  Subuniverses are bitmasks
+basic operations (unary polynomial closure), on block representatives after
+R. Freese, "Computing congruences efficiently", Algebra Universalis 59 (2008).
+A partition is a 256-byte label table that sends each element to the least
+element of its block, so merging two blocks is one `bytes.replace`, and all
+translations of a pair are compared at once by translating two rows built
+once per algebra through the labels.  One closure serves principal
+congruences, joins and the whole lattice, on at most 256 elements.  The
+congruence lattice is the join-closure of the principal congruences of
+covering pairs: on a lattice-based algebra these generate every congruence.
+A table that fails a lattice law, found from down-set and up-set bitmasks
+in O(n²), falls back to all pairs as generators.  Subuniverses are bitmasks
 over the elements and grow one generator at a time from already-closed bases;
 a new element is combined with all members by one lookup per byte of the
 member mask, in tables built once per algebra.  Everything here is exhaustive:
@@ -16,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
-from .algebra import FiniteAlgebra, quotient, subalgebra, validate_relevant_algebra
+from .algebra import FiniteAlgebra, quotient, subalgebra
 from .errors import NotACongruence, SizeCapExceeded, UnknownElement
 
 DEFAULT_SUBUNIVERSE_CAP = 24
@@ -26,6 +32,7 @@ DEFAULT_CONGRUENCE_CAP = 100
 
 # The checklist entries that make meet and join a lattice, so that `leq` is
 # its order and covering pairs generate the congruence lattice.
+# `_lattice_covers` decides exactly these.
 LATTICE_AXIOMS = (
     "meet-idempotent", "meet-commutative", "meet-associative",
     "join-idempotent", "join-commutative", "join-associative", "absorption",
@@ -123,56 +130,90 @@ def _translation_tables(algebra):
     ]
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
+# A label is one byte, so a label table covers at most 256 elements.
+_MAX_LABELLED = 256
+_IDENTITY_LABELS = bytes(range(256))
 
 
-def _uf_to_congruence(algebra, uf):
-    groups = {}
+@lru_cache(maxsize=8)
+def _congruence_rows(algebra):
+    """Per element x, one `bytes` row: row x of every table of
+    `_translation_tables`, then neg x.  Position i of two rows holds the
+    images of x and y under one one-step translation.  Built once per algebra,
+    since every closure over it reads the same rows."""
+    if algebra.size > _MAX_LABELLED:
+        raise SizeCapExceeded(
+            f"congruences of {algebra.name} ({algebra.size} elements) need one "
+            f"byte label per element, at most {_MAX_LABELLED} elements"
+        )
+    sides = _translation_tables(algebra)
+    return tuple(
+        bytes([v for side in sides for v in side[x]] + [algebra.neg[x]])
+        for x in range(algebra.size)
+    )
+
+
+def _close(rows, labels, pairs):
+    """Label table of the least congruence that contains the one `labels`
+    stands for and relates each of `pairs`.
+
+    A label table sends each element to the least element of its block, and
+    `labels` must already be a congruence.  Merging blocks u < v is one
+    `replace` of label v by u, and queues (u, v).  A popped pair is pushed
+    through every one-step translation at once: its two rows are translated
+    through the labels and compared, and only when they differ are their
+    positions walked for blocks to merge.  The queued pairs generate the
+    partition, and every translation of each of them is related, so the result
+    is compatible; every merge is forced, so it is the least.
+    """
+    queue = []
+    pending = pairs
+    while True:
+        for u, v in pending:
+            if u != v:
+                u, v = labels[u], labels[v]
+                if u != v:
+                    if u > v:
+                        u, v = v, u
+                    labels = labels.replace(bytes((v,)), bytes((u,)))
+                    queue.append((u, v))
+        if not queue:
+            return labels
+        x, y = queue.pop()
+        left = rows[x].translate(labels)
+        right = rows[y].translate(labels)
+        pending = () if left == right else zip(left, right)
+
+
+def _labels(theta):
+    """The label table of a congruence."""
+    labels = bytearray(_IDENTITY_LABELS)
+    for block in theta.blocks:
+        for x in block:
+            labels[x] = block[0]
+    return bytes(labels)
+
+
+def _congruence(algebra, labels):
+    """The Congruence whose blocks share a label in `labels`."""
+    blocks = {}
     for x in range(algebra.size):
-        groups.setdefault(uf.find(x), []).append(x)
-    return Congruence(algebra, groups.values(), check=False)
+        blocks.setdefault(labels[x], []).append(x)
+    return Congruence(algebra, blocks.values(), check=False)
 
 
 def congruence_from_pairs(algebra, pairs):
     """Least congruence containing the given pairs (unary polynomial closure).
 
-    Every merged pair is pushed through all one-step translations of the basic
-    operations until nothing new merges; pairs already related when popped can
-    be skipped because their translations followed the chain that merged them.
+    An element outside range(algebra.size) raises UnknownElement, and an
+    algebra of more than 256 elements SizeCapExceeded.
     """
-    a = algebra
-    uf = _UnionFind(a.size)
-    queue = []
-    for x, y in pairs:
-        if uf.union(x, y):
-            queue.append((x, y))
-    sides = _translation_tables(a)
-    while queue:
-        x, y = queue.pop()
-        for table in sides:
-            for u, v in zip(table[x], table[y]):
-                if u != v and uf.union(u, v):
-                    queue.append((u, v))
-        if uf.union(a.neg[x], a.neg[y]):
-            queue.append((a.neg[x], a.neg[y]))
-    return _uf_to_congruence(a, uf)
+    pairs = list(pairs)
+    for x in chain.from_iterable(pairs):
+        if not 0 <= x < algebra.size:
+            raise UnknownElement(f"{x!r} is not an element index of {algebra.name!r}")
+    rows = _congruence_rows(algebra)
+    return _congruence(algebra, _close(rows, _IDENTITY_LABELS, pairs))
 
 
 def principal_congruence(algebra, x, y):
@@ -181,14 +222,10 @@ def principal_congruence(algebra, x, y):
 
 
 def congruence_join(theta, phi):
-    """Join in the congruence lattice: transitive closure of the union."""
+    """Join in the congruence lattice: phi's pairs closed onto theta."""
     algebra = theta.algebra
-    uf = _UnionFind(algebra.size)
-    for cong in (theta, phi):
-        for block in cong.blocks:
-            for x in block[1:]:
-                uf.union(block[0], x)
-    return _uf_to_congruence(algebra, uf)
+    pairs = [(block[0], x) for block in phi.blocks for x in block[1:]]
+    return _congruence(algebra, _close(_congruence_rows(algebra), _labels(theta), pairs))
 
 
 def congruence_meet(theta, phi):
@@ -200,16 +237,38 @@ def congruence_meet(theta, phi):
     return Congruence(algebra, groups.values(), check=False)
 
 
-def _covering_pairs(algebra):
-    """Pairs (x, y) with x < y and no element strictly between them."""
-    leq = algebra.leq
-    pairs = []
-    for x in range(algebra.size):
-        above = [y for y in range(algebra.size) if y != x and leq[x][y]]
-        pairs.extend(
-            (x, y) for y in above if not any(leq[z][y] for z in above if z != y)
-        )
-    return pairs
+def _lattice_covers(algebra):
+    """The pairs (x, y) with y covering x in the order of meet and join, or
+    None when the two tables do not form a lattice.
+
+    With x <= y iff x meet y = x, and down-sets D[y] and up-sets U[x] of that
+    relation as bitmasks, the tables form a lattice iff D[x] & U[x] = {x},
+    so the relation is reflexive and antisymmetric, D[x meet y] = D[x] & D[y]
+    and U[x join y] = U[x] & U[y]: the relation is then transitive, and meet
+    and join are its greatest lower and least upper bounds (Davey and
+    Priestley, Introduction to Lattices and Order, Thm 2.10).  This decides
+    LATTICE_AXIOMS with O(n²) mask operations.  y covers x when x and y are
+    all of U[x] & D[y].
+    """
+    n = algebra.size
+    meet, join = algebra.meet, algebra.join
+    down = [0] * n
+    up = [0] * n
+    for x in range(n):
+        for y in range(n):
+            if meet[x][y] == x:
+                down[y] |= 1 << x
+                up[x] |= 1 << y
+    if any(down[x] & up[x] != 1 << x for x in range(n)):
+        return None
+    covers = []
+    for x in range(n):
+        for y in range(n):
+            if down[meet[x][y]] != down[x] & down[y] or up[join[x][y]] != up[x] & up[y]:
+                return None
+            if x != y and up[x] & down[y] == 1 << x | 1 << y:
+                covers.append((x, y))
+    return covers
 
 
 def congruence_lattice(algebra):
@@ -219,32 +278,38 @@ def congruence_lattice(algebra):
     lattice x θ y iff (x∧y) θ (x∨y), and an interval collapses iff every cover
     on one maximal chain in it collapses, so every congruence is the join of the
     covering pairs it relates.  A table that fails one of LATTICE_AXIOMS has no
-    such order, and all pairs are the generators.  Joins are closed over the
-    generators only: each congruence found is joined with every generator.
+    such order, and all pairs are the generators.  Generators are deduplicated
+    by their label tables, keeping one seed pair each, and each label table
+    found is closed with every seed pair it does not yet relate.  The tables
+    become Congruence objects once, at the end.
     """
     if algebra.size > DEFAULT_CONGRUENCE_CAP:
         raise SizeCapExceeded(
             f"congruence lattice of {algebra.name} ({algebra.size} elements) "
             f"exceeds cap {DEFAULT_CONGRUENCE_CAP}"
         )
-    if all(r.holds for r in validate_relevant_algebra(algebra, axioms=LATTICE_AXIOMS)):
-        pairs = _covering_pairs(algebra)
-    else:
+    rows = _congruence_rows(algebra)
+    pairs = _lattice_covers(algebra)
+    if pairs is None:
         pairs = combinations(range(algebra.size), 2)
-    generators = {principal_congruence(algebra, x, y) for x, y in pairs}
-    found = {identity_congruence(algebra)}
-    frontier = list(found)
+    seeds = {}
+    for pair in pairs:
+        seeds.setdefault(_close(rows, _IDENTITY_LABELS, (pair,)), pair)
+    found = {_IDENTITY_LABELS, *seeds}
+    frontier = list(seeds)
     while frontier:
         new = []
-        for theta in frontier:
-            for phi in generators:
-                joined = congruence_join(theta, phi)
-                if joined not in found:
-                    found.add(joined)
-                    new.append(joined)
+        for labels in frontier:
+            for x, y in seeds.values():
+                if labels[x] != labels[y]:
+                    joined = _close(rows, labels, ((x, y),))
+                    if joined not in found:
+                        found.add(joined)
+                        new.append(joined)
         frontier = new
+    lattice = [_congruence(algebra, labels) for labels in found]
     # finest first: identity congruence leads, full congruence closes the list
-    return sorted(found, key=lambda c: (-len(c.blocks), c.block_of))
+    return sorted(lattice, key=lambda c: (-len(c.blocks), c.block_of))
 
 
 def is_simple(algebra):

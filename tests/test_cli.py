@@ -184,6 +184,37 @@ def test_amalgamate_single_span(capsys):
     assert "amalgam found in crystal" in out
 
 
+def test_amalgamate_warning_is_in_json_data_only_when_present(capsys, tmp_path):
+    """boolean2^2 is not simple: the warning goes to stderr in both formats,
+    and to `data.warnings` under --format json, with the rest unchanged."""
+    from relog.algebra import builtin_boolean2, power, serialize
+
+    square = tmp_path / "square.alg"
+    square.write_text(serialize(power(builtin_boolean2(), 2)))
+    warning = ("the generator is not a finite simple algebra with the class "
+               "congruence extension property; the search runs anyway")
+    argv = ("amalgamate", "--algebra", str(square), "--apex", "0.0,1.1",
+            "--left", "0.0,0.1,1.0,1.1", "--right", "0.0,1.1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, f"warning: {warning}\n")
+    assert out == "amalgam found in boolean2^2\n  0.0 -> 0.0 = 0.0\n  1.1 -> 1.1 = 1.1\n"
+    code, out, err = run_cli(capsys, "--format", "json", *argv)
+    report = json.loads(out)
+    validate_report(report)
+    assert (code, err) == (0, f"warning: {warning}\n")
+    assert report["data"].pop("warnings") == [warning]
+    assert report["data"]["evidence"] == [
+        {"apex": "0.0", "via_left": "0.0", "via_right": "0.0"},
+        {"apex": "1.1", "via_left": "1.1", "via_right": "1.1"},
+    ]
+    # crystal is simple and has the class CEP: no warning, no key
+    code, out, err = run_cli(capsys, "--format", "json", "amalgamate", "--algebra", "crystal",
+                             "--apex", "bot,a,top", "--left", "bot,t,a,f,top",
+                             "--right", "bot,t,b,f,top", "--map-right", "a:b")
+    assert (code, err) == (0, "")
+    assert "warnings" not in json.loads(out)["data"]
+
+
 def test_autos_lists_identity_and_swap(capsys):
     code, out, _ = run_cli(capsys, "autos", "--algebra", "crystal")
     assert code == 0
@@ -460,6 +491,24 @@ def test_reproduce_output_matches_the_committed_report(capsys):
     with open(REPRODUCE_GOLDEN, "r", encoding="utf-8") as fh:
         assert json.dumps(report, indent=2) + "\n" == fh.read()
     assert code == 0
+
+
+@pytest.mark.parametrize("factor", ["crystal", "belnap-m"])
+@pytest.mark.parametrize("argv", [("congruences",), ("check", "--property", "fsi")],
+                         ids=["congruences", "fsi"])
+def test_congruence_reports_of_a_square_file_are_pinned(capsys, tmp_path, factor, argv):
+    """The JSON reports on factor^2, read from an algebra file, match the
+    committed ones byte for byte."""
+    from relog.algebra import builtin, power, serialize
+
+    path = tmp_path / f"{factor}2.alg"
+    path.write_text(serialize(power(builtin(factor), 2)))
+    code, out, err = run_cli(capsys, "--format", "json", *argv, "--algebra", str(path))
+    name = "congruences" if argv[0] == "congruences" else "fsi"
+    with open(os.path.join(REPO_ROOT, "tests", "data", f"{factor}2_{name}.json"),
+              "r", encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert (code, err) == (json.loads(out)["exit_code"], "")
 
 
 # ---------------------------------------------------------------------------

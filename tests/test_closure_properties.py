@@ -1,15 +1,25 @@
 """Property tests on random small tables, commutative or not: the closures
 that skip a commutative table's second argument position, the subuniverse
-closure on member masks, consequence over byte lanes and over the sweep,
-and interpolation decided from its two masks, against their oracles."""
+closure on member masks, the congruence closure on byte labels and its
+lattice check, consequence over byte lanes and over the sweep, and
+interpolation decided from its two masks, against their oracles."""
 
+from functools import lru_cache
 from itertools import combinations
 from unittest.mock import patch
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relog import logic
-from relog.algebra import FiniteAlgebra, product
+from relog import logic, subcon
+from relog.algebra import (
+    FiniteAlgebra,
+    builtin_belnap_m,
+    builtin_boolean2,
+    builtin_crystal,
+    product,
+    subalgebra,
+    validate_relevant_algebra,
+)
 from relog.errors import (
     InterpolantNotFound,
     NoSharedVariables,
@@ -19,13 +29,17 @@ from relog.errors import (
 from relog.interp import FreeAlgebra, maehara_interpolant, verify_interpolant
 from relog.logic import And, Fuse, Not, Or, Var, entails, verify_countermodel
 from relog.subcon import (
+    LATTICE_AXIOMS,
     Congruence,
     all_subuniverses,
+    congruence_lattice,
     generated_subuniverse,
+    hs_class,
     principal_congruence,
 )
 from tests_oracle_helper import (
     ReferenceFreeAlgebra,
+    brute_force_congruence_lattice,
     brute_force_designating_valuations,
     brute_force_principal_congruences,
     closure_state,
@@ -104,6 +118,11 @@ def test_closures_match_their_oracles_on_random_tables(algebra, other):
     reference = reference_subuniverses(pair, limit=4096)
     if reference is not None:
         assert all_subuniverses(pair, cap=pair.size) == reference
+    # Projections make every partition a congruence, 115,975 of them on 10
+    # elements, so the lattices are compared up to 256 congruences.
+    reference = brute_force_congruence_lattice(pair, limit=256)
+    if reference is not None:
+        assert congruence_lattice(pair) == reference
     for labels in set_partitions(algebra.size):
         blocks = [[x for x in range(algebra.size) if labels[x] == b]
                   for b in set(labels)]
@@ -113,6 +132,58 @@ def test_closures_match_their_oracles_on_random_tables(algebra, other):
         except NotACongruence:
             accepted = False
         assert accepted == is_compatible(algebra, labels), labels
+
+
+@lru_cache(maxsize=None)
+def _lattice_bases():
+    """The builtins, their nonempty subalgebras and their HS members."""
+    builtins = (builtin_crystal(), builtin_belnap_m(), builtin_boolean2())
+    return [*builtins,
+            *(subalgebra(a, s) for a in builtins for s in all_subuniverses(a) if s),
+            *(h for a in builtins for h in hs_class(a))]
+
+
+@st.composite
+def redrawn_lattices(draw):
+    """A builtin, or a subalgebra or HS member of one, with one or two meet
+    or join entries redrawn: near a lattice, and sometimes still one."""
+    base = draw(st.sampled_from(_lattice_bases()))
+    entry = st.integers(0, base.size - 1)
+    tables = {"meet": [list(row) for row in base.meet],
+              "join": [list(row) for row in base.join]}
+    for op, x, y, z in draw(st.lists(st.tuples(st.sampled_from(tuple(tables)),
+                                               entry, entry, entry),
+                                     min_size=1, max_size=2)):
+        tables[op][x][y] = z
+    return FiniteAlgebra(base.name, base.elements, tables["meet"], tables["join"],
+                         base.fusion, base.neg)
+
+
+def _two_tables(meet, join):
+    n = len(meet)
+    return FiniteAlgebra("two-tables", [f"e{i}" for i in range(n)], meet, join, meet, range(n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(small_algebras(), redrawn_lattices()))
+# x meet y = x: every element below every other, not antisymmetric
+@example(_two_tables([[0, 0], [1, 1]], [[0, 1], [0, 1]]))
+# meet a semilattice with 0 at the bottom, join one with 1 at the top: 1 and
+# 2 have no upper bound in meet's order, and only the up-set check says so
+@example(_two_tables([[0, 0, 0], [0, 1, 0], [0, 0, 2]], [[0, 1, 1], [1, 1, 1], [1, 1, 2]]))
+def test_lattice_check_matches_the_checklist(algebra):
+    """The mask check finds a lattice exactly when LATTICE_AXIOMS hold, and
+    then the pairs with nothing strictly between them."""
+    covers = subcon._lattice_covers(algebra)
+    assert (covers is not None) == all(
+        r.holds for r in validate_relevant_algebra(algebra, axioms=LATTICE_AXIOMS))
+    if covers is not None:
+        leq, n = algebra.leq, algebra.size
+        assert covers == [
+            (x, y) for x in range(n) for y in range(n)
+            if x != y and leq[x][y]
+            and not any(leq[x][z] and leq[z][y] for z in range(n) if z not in (x, y))
+        ]
 
 
 def formulas(names):

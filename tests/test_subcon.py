@@ -4,6 +4,7 @@ import pytest
 
 from relog import subcon
 from relog.algebra import (
+    FiniteAlgebra,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
@@ -19,6 +20,7 @@ from relog.subcon import (
     all_subuniverses,
     check_cep_class,
     check_cep_pair,
+    congruence_from_pairs,
     congruence_join,
     congruence_lattice,
     congruence_meet,
@@ -210,6 +212,7 @@ CONGRUENCE_ORACLE_CASES = {
     "boolean2^3": lambda: [power(B2, 3)],
     "crystal x boolean2": lambda: [direct_product([C, B2])],
     "crystal^2": lambda: [power(C, 2)],
+    "boolean2^5": lambda: [power(B2, 5)],
     "not-a-lattice": lambda: [NOT_A_LATTICE],
 }
 
@@ -231,29 +234,60 @@ def test_principal_congruence_matches_partition_oracle(algebra):
         assert principal_congruence(algebra, x, y).block_of == labels, (x, y)
 
 
-def _count_principal_congruences(monkeypatch, algebra):
+def _count_seed_closures(monkeypatch, algebra):
+    """Closures the lattice starts from the identity partition: one per
+    generating pair."""
     calls = []
-    real = subcon.principal_congruence
+    real = subcon._close
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(rows, labels, pairs):
+        if labels == subcon._IDENTITY_LABELS:
+            calls.append(pairs)
+        return real(rows, labels, pairs)
 
-    monkeypatch.setattr(subcon, "principal_congruence", counting)
+    monkeypatch.setattr(subcon, "_close", counting)
     congruence_lattice(algebra)
     return len(calls)
 
 
 def test_congruence_lattice_of_crystal_square_uses_covering_pairs(monkeypatch):
     # crystal has 6 covers, so crystal^2 has 6 * 6 * 2 = 72; it has 630 pairs
-    assert _count_principal_congruences(monkeypatch, power(C, 2)) <= 72
+    assert _count_seed_closures(monkeypatch, power(C, 2)) <= 72
 
 
 def test_congruence_lattice_falls_back_to_all_pairs_off_a_lattice(monkeypatch):
     assert not all(r.holds for r in validate_relevant_algebra(
         NOT_A_LATTICE, axioms=subcon.LATTICE_AXIOMS))
     assert len(congruence_lattice(NOT_A_LATTICE)) == 4
-    assert _count_principal_congruences(monkeypatch, NOT_A_LATTICE) == 6
+    assert _count_seed_closures(monkeypatch, NOT_A_LATTICE) == 6
+
+
+def _projections(n):
+    """n elements, every binary table the left projection x op y = x, neg the
+    identity: every partition is a congruence."""
+    left = [[x] * n for x in range(n)]
+    return FiniteAlgebra(f"projections{n}", [f"e{i}" for i in range(n)],
+                         left, left, left, range(n))
+
+
+def test_congruence_closures_label_at_most_256_elements():
+    widest = _projections(256)
+    theta = principal_congruence(widest, 0, 255)
+    assert theta.blocks[0] == (0, 255) and len(theta.blocks) == 255
+    assert congruence_join(theta, principal_congruence(widest, 1, 255)).blocks[0] == (0, 1, 255)
+    past = _projections(257)
+    delta = identity_congruence(past)
+    for call in (lambda: principal_congruence(past, 0, 1),
+                 lambda: congruence_from_pairs(past, [(0, 1)]),
+                 lambda: congruence_join(delta, delta)):
+        with pytest.raises(SizeCapExceeded, match="at most 256 elements"):
+            call()
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 6), (6, 7), (2, 256)])
+def test_principal_congruence_rejects_elements_out_of_range(pair):
+    with pytest.raises(UnknownElement):
+        principal_congruence(C, *pair)
 
 
 def test_belnap_fourchain_has_middle_congruence():

@@ -6,8 +6,9 @@ reference free-algebra closure builds every product coordinate by coordinate
 and pushes both orientations of every table.  The subuniverse oracles filter
 the whole powerset, or close element sets one generator at a time in both
 argument positions of every table.  The congruence-lattice oracle joins the
-principal congruences of all pairs with every congruence found.  The
-principal-congruence oracle searches all set partitions.  The valuation
+principal congruences of all pairs with every congruence found, both from a
+union-find closure of element pairs.  The principal-congruence oracle
+searches all set partitions.  The valuation
 oracles list every valuation of a grid before filtering it.  The morphism
 checks at the end compose maps and test them against the tables.  The
 fixture tables below are not commutative, so they tell a closure that skips
@@ -21,7 +22,7 @@ from relog.algebra import FiniteAlgebra, builtin_boolean2, power
 from relog.interp import FreeAlgebra
 from relog.logic import evaluate
 from relog.morph import Morphism
-from relog.subcon import congruence_join, identity_congruence, principal_congruence
+from relog.subcon import Congruence, identity_congruence
 
 _B2 = builtin_boolean2()
 _B2_SQUARE = power(_B2, 2)
@@ -215,21 +216,83 @@ def reference_subuniverses(algebra, limit=None):
     return sorted(found, key=lambda s: (len(s), s))
 
 
-def brute_force_congruence_lattice(algebra):
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if rx > ry:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
+
+
+def _uf_to_congruence(algebra, uf):
+    groups = {}
+    for x in range(algebra.size):
+        groups.setdefault(uf.find(x), []).append(x)
+    return Congruence(algebra, groups.values(), check=False)
+
+
+def reference_principal_congruence(algebra, x, y):
+    """Least congruence identifying x and y, by union-find over element pairs.
+
+    Every merged pair is pushed through all one-step translations of the basic
+    operations, one product at a time, until nothing new merges.  A
+    commutative table is visited in one argument position."""
+    uf = _UnionFind(algebra.size)
+    queue = [(x, y)] if uf.union(x, y) else []
+    rows = [side for table, transpose, commutative in algebra.binary_tables
+            for side in ((table,) if commutative else (table, transpose))]
+    while queue:
+        x, y = queue.pop()
+        for table in rows:
+            for u, v in zip(table[x], table[y]):
+                if u != v and uf.union(u, v):
+                    queue.append((u, v))
+        if uf.union(algebra.neg[x], algebra.neg[y]):
+            queue.append((algebra.neg[x], algebra.neg[y]))
+    return _uf_to_congruence(algebra, uf)
+
+
+def reference_congruence_join(theta, phi):
+    """Join of two congruences: the transitive closure of their union."""
+    algebra = theta.algebra
+    uf = _UnionFind(algebra.size)
+    for cong in (theta, phi):
+        for block in cong.blocks:
+            for x in block[1:]:
+                uf.union(block[0], x)
+    return _uf_to_congruence(algebra, uf)
+
+
+def brute_force_congruence_lattice(algebra, limit=None):
     """Every congruence, finest first: the principal congruences of all pairs,
-    closed under joins of every found congruence with every other."""
+    closed under joins of every found congruence with every other.  None once
+    more than `limit` congruences are found."""
     found = {identity_congruence(algebra)}
     for x, y in combinations(range(algebra.size), 2):
-        found.add(principal_congruence(algebra, x, y))
+        found.add(reference_principal_congruence(algebra, x, y))
     frontier = list(found)
     while frontier:
         new = []
         for theta in frontier:
             for phi in list(found):
-                joined = congruence_join(theta, phi)
+                joined = reference_congruence_join(theta, phi)
                 if joined not in found:
                     found.add(joined)
                     new.append(joined)
+                    if limit is not None and len(found) > limit:
+                        return None
         frontier = new
     return sorted(found, key=lambda c: (-len(c.blocks), c.block_of))
 
