@@ -278,7 +278,8 @@ def validate_relevant_algebra(algebra, axioms=None):
 def load_algebra(source):
     """Parse the algebra text format.
 
-    Format: `algebra <name>`, `elements <e1> <e2> ...`, then one block per
+    Format: `algebra <name>` (the name is the rest of the line, so a
+    product's `a x b` reads back), `elements <e1> <e2> ...`, then one block per
     operation `op <meet|join|fusion|neg> <arity>` followed by n (unary) or
     n rows of n (binary) whitespace-separated element names; row index is the
     first argument.  `#` starts a comment.
@@ -298,7 +299,7 @@ def load_algebra(source):
         pos += 1
         return line
 
-    header = take().split()
+    header = take().split(maxsplit=1)
     if len(header) != 2 or header[0] != "algebra":
         raise ParseError("expected `algebra <name>` header", position=pos - 1)
     name = header[1]

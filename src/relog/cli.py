@@ -18,6 +18,7 @@ from .algebra import (
     BUILTIN_NAMES,
     builtin,
     load_algebra_file,
+    subalgebra,
     validate_relevant_algebra,
 )
 from .errors import InterpolantNotFound, RelogError, UsageError
@@ -249,59 +250,41 @@ def _pick_embedding(apex, target, pins):
 
 def _cmd_amalgamate(args):
     generator = _resolve_algebra(args, args.algebra)
-    from .algebra import subalgebra as make_sub
-
+    variety = f"V({generator.name})"
     if args.all_spans:
         spans = failures = 0
         for span in all_spans(generator):
             spans += 1
-            result = amalgamate_span(
-                span, mode=args.mode, generator=generator, power_bound=args.bound,
-            )
-            if not result.found:
-                failures += 1
-        verdict = "found" if failures == 0 else "not-found"
+            failures += not amalgamate_span(span, generator, args.mode).found
         return _report(
-            "amalgamate", verdict, 0 if failures == 0 else 1,
-            data={"spans": spans, "failures": failures, "bound": args.bound},
-        ), [f"{spans} spans, {failures} without amalgam within power bound "
-            f"{args.bound}"]
+            "amalgamate", "found" if failures == 0 else "not-found",
+            0 if failures == 0 else 1,
+            data={"spans": spans, "failures": failures},
+        ), [f"{spans} spans, {failures} without an amalgam in {variety}"]
 
     if not (args.apex and args.left and args.right):
         raise UsageError("amalgamate needs --apex, --left and --right (or --all-spans)")
-    apex = make_sub(generator, _parse_members(generator, args.apex))
-    left_alg = make_sub(generator, _parse_members(generator, args.left))
-    right_alg = make_sub(generator, _parse_members(generator, args.right))
+    apex, left_alg, right_alg = (
+        subalgebra(generator, _parse_members(generator, text))
+        for text in (args.apex, args.left, args.right))
     left = _pick_embedding(apex, left_alg, _parse_pin(args.map_left))
     right = _pick_embedding(apex, right_alg, _parse_pin(args.map_right))
-    if not is_simple(generator) or not check_cep_class(hs_class(generator))[0]:
-        warning = ("the generator is not a finite simple algebra with the "
-                   "class congruence extension property; the search runs anyway")
-        print(f"warning: {warning}", file=sys.stderr)
-        args.warnings.append(warning)
-    result = amalgamate_span(
-        Span(left, right), mode=args.mode, generator=generator,
-        power_bound=args.bound,
-    )
-    if result.found:
-        amalgam = result.amalgam
-        data = {
-            "target": amalgam.target.name,
-            "arm_left": amalgam.arm_left.to_pairs(),
-            "arm_right": amalgam.arm_right.to_pairs(),
-            "evidence": amalgam.evidence(),
-            "commutes": amalgam.commutes(),
-        }
-        lines = [f"amalgam found in {amalgam.target.name}"]
-        for row in amalgam.evidence():
-            lines.append(
-                f"  {row['apex']} -> {row['via_left']} = {row['via_right']}"
-            )
-        return _report("amalgamate", "found", 0, data=data), lines
-    return _report(
-        "amalgamate", "not-found", 1,
-        data={"targets_tried": result.targets_tried, "bound": args.bound},
-    ), [f"no amalgam within power bound {args.bound}"]
+    amalgam = amalgamate_span(Span(left, right), generator, args.mode).amalgam
+    if amalgam is None:
+        return _report("amalgamate", "not-found", 1), [f"no amalgam in {variety}"]
+    data = {
+        "target": amalgam.target_name,
+        "arm_left": amalgam.arm_pairs(0),
+        "arm_right": amalgam.arm_pairs(1),
+        "evidence": amalgam.evidence(),
+        "commutes": amalgam.commutes(),
+        "family": [{"target": h.target.name, "arm_left": h.to_pairs(),
+                    "arm_right": k.to_pairs()} for h, k in amalgam.family],
+    }
+    lines = [f"amalgam found in {amalgam.target_name}"]
+    for row in data["evidence"]:
+        lines.append(f"  {row['apex']} -> {row['via_left']} = {row['via_right']}")
+    return _report("amalgamate", "found", 0, data=data), lines
 
 
 def _cmd_entails(args):
@@ -501,14 +484,13 @@ def build_parser():
 
     with_algebra(command("autos", help="enumerate automorphisms"))
 
-    p = with_algebra(command("amalgamate", help="search for an amalgam"))
+    p = with_algebra(command("amalgamate", help="decide whether a span has an amalgam"))
     p.add_argument("--apex", help="comma-separated elements of the apex subalgebra")
     p.add_argument("--left", help="elements of the left subalgebra")
     p.add_argument("--right", help="elements of the right subalgebra")
     p.add_argument("--map-left", default="", help="pins like a:b for the left leg")
     p.add_argument("--map-right", default="", help="pins for the right leg")
     p.add_argument("--mode", choices=("AP", "TIP"), default="AP")
-    p.add_argument("--bound", type=_count(1), default=1, help="power-exponent bound")
     p.add_argument("--all-spans", action="store_true",
                    help="sweep every span among nontrivial subalgebras")
 

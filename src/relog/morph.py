@@ -8,9 +8,10 @@ order of the map vector so reports are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .algebra import FiniteAlgebra, power, subalgebra
-from .errors import SizeCapExceeded
-from .subcon import DEFAULT_SUBUNIVERSE_CAP, all_subuniverses
+from functools import lru_cache
+from .algebra import FiniteAlgebra, subalgebra
+from .errors import RelogError, SizeCapExceeded
+from .subcon import _lattice_covers, all_subuniverses, hs_class, is_fsi
 
 DEFAULT_HOM_SIZE_CAP = 4096
 
@@ -248,28 +249,39 @@ class Span:
 
 @dataclass
 class Amalgam:
+    """An amalgam of a span as a family of commuting pairs (h: B -> D, k: C -> D),
+    h∘left = k∘right, that jointly separate the elements of B, and of C in AP
+    mode.  The amalgam is the product of the targets D, with the arms taken
+    coordinatewise; a one-pair family lies in that pair's target, the empty
+    family in the trivial algebra."""
     span: Span
-    target: FiniteAlgebra
-    arm_left: Morphism   # B -> target
-    arm_right: Morphism  # C -> target
+    family: tuple
+
+    @property
+    def target_name(self):
+        return " x ".join(h.target.name for h, _ in self.family)
+
+    def image(self, side, x):
+        """The name of x's image in the product under the left (0) or right (1) arm."""
+        return ".".join(pair[side].target.elements[pair[side].mapping[x]]
+                        for pair in self.family)
+
+    def arm_pairs(self, side):
+        source = (self.span.left, self.span.right)[side].target
+        return [[source.elements[x], self.image(side, x)] for x in range(source.size)]
 
     def commutes(self):
-        a = self.span.apex
-        return all(
-            self.arm_left.mapping[self.span.left.mapping[x]]
-            == self.arm_right.mapping[self.span.right.mapping[x]]
-            for x in range(a.size)
-        )
+        legs = self.span.left.mapping, self.span.right.mapping
+        return all(h.mapping[legs[0][x]] == k.mapping[legs[1][x]]
+                   for h, k in self.family for x in range(self.span.apex.size))
 
     def evidence(self):
         a = self.span.apex
         return [
             {
                 "apex": a.elements[x],
-                "via_left": self.target.elements[
-                    self.arm_left.mapping[self.span.left.mapping[x]]],
-                "via_right": self.target.elements[
-                    self.arm_right.mapping[self.span.right.mapping[x]]],
+                "via_left": self.image(0, self.span.left.mapping[x]),
+                "via_right": self.image(1, self.span.right.mapping[x]),
             }
             for x in range(a.size)
         ]
@@ -279,33 +291,10 @@ class Amalgam:
 class AmalgamSearchResult:
     amalgam: Amalgam | None
     mode: str
-    power_bound: int
-    targets_tried: int
 
     @property
     def found(self):
         return self.amalgam is not None
-
-
-def _candidate_targets(generator, power_bound):
-    """Search order: the generator itself, then subalgebras of its direct powers;
-    a power too large to enumerate raises SizeCapExceeded before it is built."""
-    yield generator
-    for exponent in range(1, power_bound + 1):
-        size = generator.size ** exponent
-        if size > DEFAULT_SUBUNIVERSE_CAP:
-            raise SizeCapExceeded(
-                f"amalgam search needs the subuniverses of {generator.name}^{exponent} "
-                f"({size} elements), over cap {DEFAULT_SUBUNIVERSE_CAP}"
-            )
-        big = generator if exponent == 1 else power(generator, exponent)
-        for members in all_subuniverses(big):
-            if not members:
-                continue
-            candidate = subalgebra(big, members)
-            if exponent == 1 and len(members) == big.size:
-                continue  # the generator itself, already tried
-            yield candidate
 
 
 def all_spans(algebra):
@@ -322,13 +311,46 @@ def all_spans(algebra):
                         yield Span(left, right)
 
 
-def amalgamate_span(span, generator, mode="AP", power_bound=1):
-    """Search for an amalgam of the span among subalgebras of powers of `generator`.
+_generator_covers = lru_cache(maxsize=8)(_lattice_covers)  # checked once per sweep
+
+
+@lru_cache(maxsize=8)
+def _si_targets(generator):
+    """The subdirectly irreducible members of HS(generator) that embed in no
+    larger one, by size then name.  A finite FSI algebra is SI, and a map into
+    a subalgebra is a map into the larger algebra, so these targets suffice."""
+    members = [d for d in hs_class(generator) if is_fsi(d)]
+    return tuple(d for i, d in enumerate(members) if not any(
+        e.size > d.size and next(_search_maps(d, e, injective=True), None)
+        for e in members[i + 1:]))
+
+
+def _commuting_pairs(span, target, left_injective, right_injective):
+    """Every pair (h: B -> target, k: C -> target) with h∘left = k∘right: h in
+    lexicographic order, then each k with the images that h forces on the
+    right leg's image, which is injective in both modes."""
+    for arm_left in _search_maps(span.left.target, target, injective=left_injective):
+        forced = {span.right.mapping[x]: arm_left.mapping[span.left.mapping[x]]
+                  for x in range(span.apex.size)}
+        for arm_right in _search_maps(span.right.target, target,
+                                      injective=right_injective, forced=forced):
+            yield arm_left, arm_right
+
+
+def amalgamate_span(span, generator, mode="AP"):
+    """Decide whether the span has an amalgam in the variety V(generator).
 
     AP mode needs both legs and both arms injective; TIP mode needs only the
-    right leg and the left arm injective.  Returns the first amalgam found in
-    canonical order, or a result with `amalgam=None` once the bound is exhausted.
-    Reaching a power over the subuniverse cap raises SizeCapExceeded.
+    right leg and the left arm injective.  An amalgam inside the generator
+    comes first: the first in canonical order, as a one-pair family.
+    Otherwise the generator's lattice reduct makes V congruence-distributive,
+    so by Jónsson's lemma every subdirectly irreducible member of V lies in
+    HS(generator), and an amalgam is a subdirect product of such members.
+    The span therefore has an amalgam in V iff commuting pairs into them
+    separate every two elements of B, and of C in AP mode; these pairs are
+    collected greedily, and a result with `amalgam=None` is a proof that V
+    has none.  A generator whose meet and join are not a lattice raises
+    RelogError before any search.
     """
     if mode not in ("AP", "TIP"):
         raise ValueError("mode must be AP or TIP")
@@ -336,32 +358,25 @@ def amalgamate_span(span, generator, mode="AP", power_bound=1):
         raise ValueError("AP-mode span needs both legs injective")
     if mode == "TIP" and not span.right.is_embedding:
         raise ValueError("TIP-mode span needs an injective right leg")
+    if _generator_covers(generator) is None:
+        raise RelogError(f"the meet and join of {generator.name} are not a lattice: Jonsson's "
+                         "lemma, which the amalgam decision rests on, does not apply")
+    for pair in _commuting_pairs(span, generator, True, mode == "AP"):
+        return AmalgamSearchResult(Amalgam(span, (pair,)), mode)
 
-    b_alg, c_alg, apex = span.left.target, span.right.target, span.apex
-    min_size = max(b_alg.size, c_alg.size) if mode == "AP" else b_alg.size
-    tried = 0
-    for target in _candidate_targets(generator, power_bound):
-        if target.size < min_size:
-            continue
-        tried += 1
-        left_arms = _search_maps(b_alg, target, injective=True)
-        for arm_left in left_arms:
-            forced = {}
-            ok = True
-            for x in range(apex.size):
-                pos = span.right.mapping[x]
-                want = arm_left.mapping[span.left.mapping[x]]
-                if forced.get(pos, want) != want:
-                    ok = False
-                    break
-                forced[pos] = want
-            if not ok:
-                continue
-            for arm_right in _search_maps(
-                c_alg, target, injective=(mode == "AP"), forced=forced,
-            ):
-                return AmalgamSearchResult(
-                    Amalgam(span, target, arm_left, arm_right),
-                    mode, power_bound, tried,
-                )
-    return AmalgamSearchResult(None, mode, power_bound, tried)
+    sides = (span.left.target, span.right.target)[:2 if mode == "AP" else 1]
+    unseparated = [{(x, y) for x in range(s.size) for y in range(x)} for s in sides]
+    pairs = (pair for target in _si_targets(generator)
+             for pair in _commuting_pairs(span, target, False, False))
+    family = []
+    while any(unseparated):
+        pair = next(pairs, None)
+        if pair is None:
+            return AmalgamSearchResult(None, mode)
+        split = [{(x, y) for x, y in todo if arm.mapping[x] != arm.mapping[y]}
+                 for todo, arm in zip(unseparated, pair)]
+        if any(split):
+            family.append(pair)
+            for todo, done in zip(unseparated, split):
+                todo -= done
+    return AmalgamSearchResult(Amalgam(span, tuple(family)), mode)

@@ -207,8 +207,8 @@ def _item_amalgamation():
     spans = failures = 0
     for span in all_spans(crystal):
         spans += 1
-        result = amalgamate_span(span, mode="AP", generator=crystal, power_bound=1)
-        if not (result.found and result.amalgam.target == crystal
+        result = amalgamate_span(span, crystal, "AP")
+        if not (result.found and [h.target for h, _ in result.amalgam.family] == [crystal]
                 and result.amalgam.commutes()):
             failures += 1
     return failures == 0, f"{spans} spans searched, {failures} without an amalgam in the generator"

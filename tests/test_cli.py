@@ -178,41 +178,46 @@ def test_amalgamate_single_span(capsys):
     code, out, _ = run_cli(
         capsys, "amalgamate", "--algebra", "crystal",
         "--apex", "bot,a,top", "--left", "bot,t,a,f,top",
-        "--right", "bot,t,b,f,top", "--map-right", "a:b", "--bound", "1",
+        "--right", "bot,t,b,f,top", "--map-right", "a:b",
     )
     assert code == 0
     assert "amalgam found in crystal" in out
 
 
 def test_amalgamate_warning_is_in_json_data_only_when_present(capsys, tmp_path):
-    """boolean2^2 is not simple: the warning goes to stderr in both formats,
-    and to `data.warnings` under --format json, with the rest unchanged."""
-    from relog.algebra import builtin_boolean2, power, serialize
+    """boolean2^2 passes the checklist: no warning, in either format.  The
+    same square with fusion replaced by join fails residuation: its
+    checklist warning goes to stderr, and to `data.warnings` under --format
+    json, and the decision runs, as its meet and join are a lattice."""
+    from relog.algebra import FiniteAlgebra, builtin_boolean2, power, serialize
 
-    square = tmp_path / "square.alg"
-    square.write_text(serialize(power(builtin_boolean2(), 2)))
-    warning = ("the generator is not a finite simple algebra with the class "
-               "congruence extension property; the search runs anyway")
-    argv = ("amalgamate", "--algebra", str(square), "--apex", "0.0,1.1",
+    square = power(builtin_boolean2(), 2)
+    path = tmp_path / "square.alg"
+    path.write_text(serialize(square))
+    argv = ("amalgamate", "--algebra", str(path), "--apex", "0.0,1.1",
             "--left", "0.0,0.1,1.0,1.1", "--right", "0.0,1.1")
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, f"warning: {warning}\n")
+    assert (code, err) == (0, "")
     assert out == "amalgam found in boolean2^2\n  0.0 -> 0.0 = 0.0\n  1.1 -> 1.1 = 1.1\n"
     code, out, err = run_cli(capsys, "--format", "json", *argv)
     report = json.loads(out)
     validate_report(report)
-    assert (code, err) == (0, f"warning: {warning}\n")
-    assert report["data"].pop("warnings") == [warning]
+    assert (code, err) == (0, "")
+    assert "warnings" not in report["data"]
     assert report["data"]["evidence"] == [
         {"apex": "0.0", "via_left": "0.0", "via_right": "0.0"},
         {"apex": "1.1", "via_left": "1.1", "via_right": "1.1"},
     ]
-    # crystal is simple and has the class CEP: no warning, no key
-    code, out, err = run_cli(capsys, "--format", "json", "amalgamate", "--algebra", "crystal",
-                             "--apex", "bot,a,top", "--left", "bot,t,a,f,top",
-                             "--right", "bot,t,b,f,top", "--map-right", "a:b")
-    assert (code, err) == (0, "")
-    assert "warnings" not in json.loads(out)["data"]
+    unresiduated = tmp_path / "unresiduated.alg"
+    unresiduated.write_text(serialize(FiniteAlgebra(
+        "unresiduated", square.elements, square.meet, square.join, square.join, square.neg)))
+    warning = (f"unresiduated from {unresiduated} fails the relevant-algebra axioms "
+               f"residuation; the command runs anyway")
+    code, report = run_json(capsys, "amalgamate", "--algebra", str(unresiduated),
+                            "--apex", "0.0,1.1", "--left", "0.0,1.1", "--right", "0.0,1.1")
+    assert code == 0
+    assert report["data"]["warnings"] == [warning]
+    assert capsys.readouterr().err == ""  # the warning line was read with the report
 
 
 def test_autos_lists_identity_and_swap(capsys):
@@ -254,7 +259,7 @@ def test_malformed_pin_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "amalgamate", "--algebra", "crystal",
         "--apex", "bot,a,top", "--left", "bot,t,a,f,top",
-        "--right", "bot,t,b,f,top", "--map-right", "a", "--bound", "1",
+        "--right", "bot,t,b,f,top", "--map-right", "a",
     )
     assert code == 2
     assert "error:" in err
@@ -315,11 +320,10 @@ def test_free_algebra_refuses_a_huge_generator_count_before_building_its_grid(ca
 @pytest.mark.parametrize("argv", [
     ("vsp-scan", "--bound", "-1"),
     ("vsp-scan", "--bound", "0"),
-    ("amalgamate", "--all-spans", "--bound", "0"),
     ("reproduce", "--instances", "-1"),
     ("reproduce", "--bound", "0"),
     ("free-algebra", "--sample", "-3"),
-], ids=["vsp-bound-negative", "vsp-bound-zero", "amalgamate-bound-zero",
+], ids=["vsp-bound-negative", "vsp-bound-zero",
         "reproduce-instances-negative", "reproduce-bound-zero", "free-sample-negative"])
 def test_count_below_its_least_value_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -338,22 +342,70 @@ def test_interpolant_failing_its_recheck_is_an_engine_error(capsys, monkeypatch)
     assert "re-check" in err
 
 
-def test_amalgam_search_past_the_subuniverse_cap_is_an_engine_error(capsys):
-    # belnap-m has spans with no amalgam in itself; bound 2 reaches belnap-m^2
-    code, report = run_json(capsys, "amalgamate", "--algebra", "belnap-m",
-                            "--all-spans", "--bound", "2")
-    assert code == 2
-    assert report["data"]["error"] == "SizeCapExceeded"
-
-
-def test_amalgamate_all_spans_defaults_to_bound_one(capsys):
-    # bound 1 searches belnap-m alone; its square is over the subuniverse cap
+def test_amalgamate_all_spans_proves_216_belnap_m_spans_have_no_amalgam(capsys):
     code, out, _ = run_cli(capsys, "amalgamate", "--algebra", "belnap-m", "--all-spans")
     assert code == 1
-    assert out == "799 spans, 216 without amalgam within power bound 1\n"
+    assert out == "799 spans, 216 without an amalgam in V(belnap_m)\n"
     code, report = run_json(capsys, "amalgamate", "--algebra", "belnap-m", "--all-spans")
     assert code == 1
-    assert report["data"] == {"spans": 799, "failures": 216, "bound": 1}
+    assert report["data"] == {"spans": 799, "failures": 216}
+    code, out, _ = run_cli(capsys, "amalgamate", "--algebra", "crystal", "--all-spans")
+    assert (code, out) == (0, "173 spans, 0 without an amalgam in V(crystal)\n")
+
+
+def test_amalgamate_sweeps_a_product_file_through_families(capsys, tmp_path):
+    from relog.algebra import builtin_boolean2, builtin_crystal, product, serialize
+
+    path = tmp_path / "cxb.alg"
+    path.write_text(serialize(product([builtin_crystal(), builtin_boolean2()])))
+    code, report = run_json(capsys, "amalgamate", "--algebra", str(path), "--all-spans")
+    assert code == 0
+    assert report["data"] == {"spans": 1088, "failures": 0}
+    # a.0, a.1 go to themselves on the left and to bot.0, top.1 on the right:
+    # no amalgam lies in crystal x boolean2, and three pairs into crystal
+    # separate both sides
+    argv = ("amalgamate", "--algebra", str(path), "--apex", "a.0,a.1",
+            "--left", "bot.0,bot.1,a.0,a.1,top.0,top.1",
+            "--right", "bot.0,bot.1,top.0,top.1", "--map-left", "a.0:a.0",
+            "--map-right", "a.0:bot.0")
+    code, report = run_json(capsys, *argv)
+    validate_report(report)
+    assert code == 0
+    data = report["data"]
+    assert len(data["family"]) == 3
+    assert data["target"] == " x ".join(pair["target"] for pair in data["family"])
+    assert data["commutes"] is True
+    for side in ("arm_left", "arm_right"):
+        images = [image for _, image in data[side]]
+        assert len(set(images)) == len(images)
+        assert images == [".".join(row) for row in zip(
+            *([image for _, image in pair[side]] for pair in data["family"]))]
+    code, out, _ = run_cli(capsys, *argv)
+    assert out.splitlines()[0] == f"amalgam found in {data['target']}"
+    assert out.splitlines()[1:] == [f"  {row['apex']} -> {row['via_left']} = {row['via_right']}"
+                                    for row in data["evidence"]]
+
+
+def test_amalgamate_has_no_bound(capsys):
+    code, out, err = run_cli(capsys, "amalgamate", "--algebra", "crystal",
+                             "--all-spans", "--bound", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --bound 1" in err
+
+
+def test_amalgamate_refuses_a_generator_off_a_lattice(capsys, tmp_path):
+    from relog.algebra import serialize
+    from tests_oracle_helper import NOT_A_LATTICE
+
+    path = tmp_path / "not-a-lattice.alg"
+    path.write_text(serialize(NOT_A_LATTICE))
+    code, _, err = run_cli(capsys, "--format", "json", "amalgamate", "--algebra", str(path),
+                           "--apex", "0.0,1.1", "--left", "0.0,1.1", "--right", "0.0,1.1")
+    report = json.loads(err[err.index("{"):])  # after the checklist warning line
+    validate_report(report)
+    assert code == 2
+    assert report["data"]["error"] == "RelogError"
+    assert "not a lattice" in report["data"]["message"]
 
 
 def test_formula_at_the_depth_limit_is_decided(capsys):

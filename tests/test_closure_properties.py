@@ -1,9 +1,11 @@
 """Property tests on random small tables, commutative or not: the closures
 that skip a commutative table's second argument position, the subuniverse
 closure on member masks, the congruence closure on byte labels and its
-lattice check, consequence over byte lanes and over the sweep, and
-interpolation decided from its two masks, against their oracles."""
+lattice check, consequence over byte lanes and over the sweep,
+interpolation decided from its two masks, and the morphism search, against
+their oracles; and the file format's round trip on products."""
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from unittest.mock import patch
@@ -16,7 +18,9 @@ from relog.algebra import (
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
+    load_algebra,
     product,
+    serialize,
     subalgebra,
     validate_relevant_algebra,
 )
@@ -28,6 +32,7 @@ from relog.errors import (
 )
 from relog.interp import FreeAlgebra, maehara_interpolant, verify_interpolant
 from relog.logic import And, Fuse, Not, Or, Var, entails, verify_countermodel
+from relog.morph import _search_maps
 from relog.subcon import (
     LATTICE_AXIOMS,
     Congruence,
@@ -40,6 +45,7 @@ from relog.subcon import (
 from tests_oracle_helper import (
     ReferenceFreeAlgebra,
     brute_force_congruence_lattice,
+    brute_force_maps,
     brute_force_designating_valuations,
     brute_force_principal_congruences,
     closure_state,
@@ -268,3 +274,40 @@ def test_entails_matches_the_sweep_oracle_on_random_tables(algebra, other, premi
     rename = {"r": Var("p")}
     assert_entails_matches_the_sweep_oracle(
         [big], [f.substitute(rename) for f in premises], conclusion.substitute(rename))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_algebras(), small_algebras(), st.data())
+def test_morphism_search_matches_brute_force_on_random_tables(algebra, other, data):
+    """Every map that preserves the operations, and only those, in
+    lexicographic order, with and without injectivity, with and without a
+    pinned image.  An algebra always maps to itself, and projections map to
+    many tables, so the lists are seldom all empty."""
+    for source, target in ((algebra, algebra), (algebra, other), (other, algebra)):
+        forced = data.draw(st.dictionaries(st.integers(0, source.size - 1),
+                                           st.integers(0, target.size - 1), max_size=2))
+        for injective in (False, True):
+            for pins in (None, forced):
+                found = [m.mapping for m in _search_maps(source, target, injective, pins)]
+                assert found == [m.mapping for m in brute_force_maps(
+                    source, target, injective, pins)], (injective, pins)
+
+
+@lru_cache(maxsize=None)
+def _builtins_and_their_hs_members():
+    builtins = (builtin_crystal(), builtin_belnap_m(), builtin_boolean2())
+    return builtins + tuple(member for b in builtins for member in hs_class(b))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_serialize_round_trips_products_of_builtins_and_their_hs_members(data):
+    """Names with spaces (`a x b`), dots and plus signs read back."""
+    factors = data.draw(st.lists(st.sampled_from(_builtins_and_their_hs_members()),
+                                 min_size=1, max_size=3)
+                        .filter(lambda fs: math.prod(f.size for f in fs) <= 64))
+    pair = product(factors)
+    text = serialize(pair)
+    again = load_algebra(text)
+    assert serialize(again) == text
+    assert again == pair and again.name == pair.name

@@ -10,7 +10,9 @@ principal congruences of all pairs with every congruence found, both from a
 union-find closure of element pairs.  The principal-congruence oracle
 searches all set partitions.  The valuation
 oracles list every valuation of a grid before filtering it.  The morphism
-checks at the end compose maps and test them against the tables.  The
+checks at the end compose maps and test them against the tables; the
+bounded amalgam search tries the subalgebras of powers of a generator one
+after another.  The
 fixture tables below are not commutative, so they tell a closure that skips
 an argument position apart.
 """
@@ -18,11 +20,17 @@ an argument position apart.
 import heapq
 from itertools import combinations, count, product
 
-from relog.algebra import FiniteAlgebra, builtin_boolean2, power
+from relog.algebra import FiniteAlgebra, builtin_boolean2, power, subalgebra
+from relog.errors import SizeCapExceeded
 from relog.interp import FreeAlgebra
 from relog.logic import evaluate
-from relog.morph import Morphism
-from relog.subcon import Congruence, identity_congruence
+from relog.morph import Morphism, _search_maps
+from relog.subcon import (
+    DEFAULT_SUBUNIVERSE_CAP,
+    Congruence,
+    all_subuniverses,
+    identity_congruence,
+)
 
 _B2 = builtin_boolean2()
 _B2_SQUARE = power(_B2, 2)
@@ -438,3 +446,80 @@ def preserves_operations(morphism):
             if m[s.fusion[x][y]] != t.fusion[m[x]][m[y]]:
                 return False
     return True
+
+
+def brute_force_maps(source, target, injective=False, forced=None):
+    """Every operation-preserving map, filtered from all maps in lexicographic order."""
+    forced = forced or {}
+    for mapping in product(range(target.size), repeat=source.size):
+        if any(mapping[x] != v for x, v in forced.items()):
+            continue
+        if injective and len(set(mapping)) < source.size:
+            continue
+        morphism = Morphism(source, target, mapping)
+        if preserves_operations(morphism):
+            yield morphism
+
+
+# ---------------------------------------------------------------------------
+# The bounded amalgam search that the exact decision replaced
+# ---------------------------------------------------------------------------
+
+def _candidate_targets(generator, power_bound):
+    """The generator, then the subalgebras of its powers up to `power_bound`;
+    a power past the subuniverse cap raises SizeCapExceeded before it is built."""
+    yield generator
+    for exponent in range(1, power_bound + 1):
+        size = generator.size ** exponent
+        if size > DEFAULT_SUBUNIVERSE_CAP:
+            raise SizeCapExceeded(
+                f"amalgam search needs the subuniverses of {generator.name}^{exponent} "
+                f"({size} elements), over cap {DEFAULT_SUBUNIVERSE_CAP}"
+            )
+        big = generator if exponent == 1 else power(generator, exponent)
+        for members in all_subuniverses(big):
+            if members and not (exponent == 1 and len(members) == big.size):
+                yield subalgebra(big, members)
+
+
+def reference_amalgam_in_powers(span, generator, mode="AP", power_bound=1):
+    """The first (arm_left, arm_right) into a candidate target, in candidate
+    order and then in lexicographic order of the arms, or None.  The left arm
+    is injective, and the right one too in AP mode."""
+    b_alg, c_alg, apex = span.left.target, span.right.target, span.apex
+    min_size = max(b_alg.size, c_alg.size) if mode == "AP" else b_alg.size
+    for target in _candidate_targets(generator, power_bound):
+        if target.size < min_size:
+            continue
+        for arm_left in _search_maps(b_alg, target, injective=True):
+            forced = {}
+            ok = True
+            for x in range(apex.size):
+                pos = span.right.mapping[x]
+                want = arm_left.mapping[span.left.mapping[x]]
+                if forced.get(pos, want) != want:
+                    ok = False
+                    break
+                forced[pos] = want
+            if not ok:
+                continue
+            for arm_right in _search_maps(
+                c_alg, target, injective=(mode == "AP"), forced=forced,
+            ):
+                return arm_left, arm_right
+    return None
+
+
+def assert_family_is_an_amalgam(span, family, mode):
+    """Each arm is a homomorphism, each pair commutes on the apex, and the arms
+    are jointly injective on B, and on C in AP mode."""
+    for h, k in family:
+        assert h.source == span.left.target and k.source == span.right.target
+        assert h.target == k.target
+        assert preserves_operations(h) and preserves_operations(k)
+        assert compose(h, span.left).mapping == compose(k, span.right).mapping
+    sides = (0, 1) if mode == "AP" else (0,)
+    for side in sides:
+        source = (span.left, span.right)[side].target
+        images = {tuple(pair[side].mapping[x] for pair in family) for x in range(source.size)}
+        assert len(images) == source.size
