@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import product as product_of
+from functools import lru_cache
+from itertools import chain, product as product_of
 from typing import NamedTuple
 
 from .errors import (
@@ -392,100 +393,49 @@ def load_algebra_file(path):
 # Builtins
 # ---------------------------------------------------------------------------
 
-# The 6-element crystal algebra.  The Hasse diagram fixes the lattice
-# (bot < t < a,b < f < top, a and b incomparable) and the labels fix
-# neg and the fusion entries a*a=a, b*b=b, a*b=f*f=top.  The remaining
-# fusion entries are the unique completion under commutativity, t as
-# identity, bot as annihilator, distribution over join and residuation;
-# tests/test_algebra.py re-derives the completion by exhaustive search.
-_CRYSTAL_ELEMENTS = ("bot", "t", "a", "b", "f", "top")
-_CRYSTAL_FUSION = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 1, 2, 3, 4, 5),
-    (0, 2, 2, 5, 5, 5),
-    (0, 3, 5, 3, 5, 5),
-    (0, 4, 5, 5, 5, 5),
-    (0, 5, 5, 5, 5, 5),
-)
-_CRYSTAL_NEG = (5, 4, 2, 3, 1, 0)
-# Order relation as a covering-closed leq table, then meet/join from it.
-_CRYSTAL_LEQ = {
-    (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-    (1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
-    (2, 2), (2, 4), (2, 5),
-    (3, 3), (3, 4), (3, 5),
-    (4, 4), (4, 5),
-    (5, 5),
+# Each builtin is its shipped data file, which carries its own provenance
+# header, and the element count that file must have.
+_BUILTINS = {
+    "crystal": ("crystal.alg", 6),
+    "belnap-m": ("belnap_m.alg", 8),
+    "boolean2": ("boolean2.alg", 2),
 }
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-def _lattice_tables(n, leq_pairs):
-    leq = [[False] * n for _ in range(n)]
-    for x, y in leq_pairs:
-        leq[x][y] = True
-    meet = [[None] * n for _ in range(n)]
-    join = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            meet[x][y] = max(lower, key=lambda z: sum(leq[w][z] for w in lower))
-            upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            join[x][y] = max(upper, key=lambda z: sum(leq[z][w] for w in upper))
-    return meet, join
+@lru_cache(maxsize=None)
+def _load_builtin(path, size):
+    algebra = load_algebra_file(path)
+    if algebra.size != size:
+        raise ParseError(f"{path} has {algebra.size} elements, expected {size}")
+    return algebra
 
 
-_BUILTIN_CACHE = {}
+def builtin(name):
+    """Look up a builtin by CLI name: crystal, belnap-m or boolean2.
+
+    The file is read from data_dir() once per path; this checks only its
+    element count and leaves axiom auditing to validate_relevant_algebra.
+    """
+    if name not in _BUILTINS:
+        raise UnknownElement(f"unknown builtin algebra {name!r}")
+    file, size = _BUILTINS[name]
+    return _load_builtin(os.path.join(data_dir(), file), size)
 
 
 def builtin_crystal():
     """The 6-element crystal algebra."""
-    if "crystal" not in _BUILTIN_CACHE:
-        meet, join = _lattice_tables(6, _CRYSTAL_LEQ)
-        _BUILTIN_CACHE["crystal"] = FiniteAlgebra(
-            "crystal", _CRYSTAL_ELEMENTS, meet, join, _CRYSTAL_FUSION, _CRYSTAL_NEG
-        )
-    return _BUILTIN_CACHE["crystal"]
+    return builtin("crystal")
+
+
+def builtin_belnap_m():
+    """Belnap's 8-element model."""
+    return builtin("belnap-m")
 
 
 def builtin_boolean2():
     """The 2-element Boolean algebra with fusion = meet."""
-    if "boolean2" not in _BUILTIN_CACHE:
-        _BUILTIN_CACHE["boolean2"] = FiniteAlgebra(
-            "boolean2",
-            ("0", "1"),
-            meet=((0, 0), (0, 1)),
-            join=((0, 1), (1, 1)),
-            fusion=((0, 0), (0, 1)),
-            neg=(1, 0),
-        )
-    return _BUILTIN_CACHE["boolean2"]
-
-
-def builtin_belnap_m():
-    """Belnap's 8-element model, loaded from the shipped data file.
-
-    The data file carries its own provenance header; this loader only checks
-    shape (8 elements) and leaves axiom auditing to validate_relevant_algebra.
-    """
-    path = os.path.join(data_dir(), "belnap_m.alg")
-    algebra = load_algebra_file(path)
-    if algebra.size != 8:
-        raise ParseError(f"belnap_m data file has {algebra.size} elements, expected 8")
-    return algebra
-
-
-BUILTIN_NAMES = ("crystal", "belnap-m", "boolean2")
-
-
-def builtin(name):
-    """Look up a builtin by CLI name: crystal, belnap-m or boolean2."""
-    if name == "crystal":
-        return builtin_crystal()
-    if name == "belnap-m":
-        return builtin_belnap_m()
-    if name == "boolean2":
-        return builtin_boolean2()
-    raise UnknownElement(f"unknown builtin algebra {name!r}")
+    return builtin("boolean2")
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +482,11 @@ def _direct_product(name, factors):
 
 def _partition_blocks(algebra, partition):
     """Normalize a congruence-like argument to canonical blocks (sorted tuples)."""
-    blocks = getattr(partition, "blocks", partition)
-    seen = set()
-    norm = []
-    for block in blocks:
-        tup = tuple(sorted(block))
-        norm.append(tup)
-        seen.update(tup)
-    if sorted(seen) != list(range(algebra.size)) or sum(len(b) for b in norm) != algebra.size:
+    blocks = sorted((tuple(sorted(block)) for block in getattr(partition, "blocks", partition)),
+                    key=lambda b: b[0])
+    if sorted(chain.from_iterable(blocks)) != list(range(algebra.size)):
         raise NotACongruence("blocks do not partition the element set")
-    return sorted(norm, key=lambda b: b[0])
+    return blocks
 
 
 def quotient(algebra, congruence):

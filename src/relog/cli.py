@@ -237,12 +237,9 @@ def _parse_pin(text):
 
 
 def _pick_embedding(apex, target, pins):
-    for candidate in embeddings(apex, target):
-        if all(
-            target.elements[candidate.mapping[apex.el(a)]] == b
-            for a, b in pins.items()
-        ):
-            return candidate
+    forced = {apex.el(a): target.el(b) for a, b in pins.items()}
+    for candidate in embeddings(apex, target, forced):
+        return candidate
     raise UsageError(
         f"no embedding {apex.name} -> {target.name} consistent with {pins}"
     )

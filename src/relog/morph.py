@@ -156,12 +156,13 @@ def homomorphisms(source, target):
     return list(_search_maps(source, target))
 
 
-def embeddings(source, target):
-    """All injective homomorphisms source -> target."""
+def embeddings(source, target, forced=None):
+    """All injective homomorphisms source -> target; `forced` pins images
+    of some source indices, as in `_search_maps`."""
     _guard_sizes(source, target)
     if source.size > target.size:
         return []
-    return list(_search_maps(source, target, injective=True))
+    return list(_search_maps(source, target, injective=True, forced=forced))
 
 
 def isomorphisms(source, target):
@@ -315,10 +316,12 @@ _generator_covers = lru_cache(maxsize=8)(_lattice_covers)  # checked once per sw
 
 
 @lru_cache(maxsize=8)
-def _si_targets(generator):
+def _si_targets(generator, name):
     """The subdirectly irreducible members of HS(generator) that embed in no
     larger one, by size then name.  A finite FSI algebra is SI, and a map into
-    a subalgebra is a map into the larger algebra, so these targets suffice."""
+    a subalgebra is a map into the larger algebra, so these targets suffice.
+    `name` is the generator's name: the targets are named after it, and
+    algebras with equal tables are equal whatever their names."""
     members = [d for d in hs_class(generator) if is_fsi(d)]
     return tuple(d for i, d in enumerate(members) if not any(
         e.size > d.size and next(_search_maps(d, e, injective=True), None)
@@ -366,7 +369,7 @@ def amalgamate_span(span, generator, mode="AP"):
 
     sides = (span.left.target, span.right.target)[:2 if mode == "AP" else 1]
     unseparated = [{(x, y) for x in range(s.size) for y in range(x)} for s in sides]
-    pairs = (pair for target in _si_targets(generator)
+    pairs = (pair for target in _si_targets(generator, generator.name)
              for pair in _commuting_pairs(span, target, False, False))
     family = []
     while any(unseparated):

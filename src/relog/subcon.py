@@ -11,7 +11,9 @@ congruences, joins and the whole lattice, on at most 256 elements.  The
 congruence lattice is the join-closure of the principal congruences of
 covering pairs: on a lattice-based algebra these generate every congruence.
 A table that fails a lattice law, found from down-set and up-set bitmasks
-in O(n²), falls back to all pairs as generators.  Subuniverses are bitmasks
+in O(n²), falls back to all pairs as generators.  Simplicity and finite
+subdirect irreducibility are read off these generators alone, without the
+lattice.  Subuniverses are bitmasks
 over the elements and grow one generator at a time from already-closed bases;
 a new element is combined with all members by one lookup per byte of the
 member mask, in tables built once per algebra.  Everything here is exhaustive:
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
-from .algebra import FiniteAlgebra, quotient, subalgebra
-from .errors import NotACongruence, SizeCapExceeded, UnknownElement
+from .algebra import FiniteAlgebra, _partition_blocks, quotient, subalgebra
+from .errors import SizeCapExceeded, UnknownElement
 
 DEFAULT_SUBUNIVERSE_CAP = 24
 DEFAULT_CONGRUENCE_CAP = 100
@@ -44,35 +46,14 @@ class Congruence:
 
     def __init__(self, algebra, blocks, check=True):
         self.algebra = algebra
-        norm = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
-        self.blocks = tuple(norm)
+        self.blocks = tuple(_partition_blocks(algebra, blocks))
+        if check:
+            quotient(algebra, self.blocks)  # raises NotACongruence
         block_of = [None] * algebra.size
         for bi, block in enumerate(self.blocks):
             for x in block:
-                if x < 0 or x >= algebra.size or block_of[x] is not None:
-                    raise NotACongruence("blocks do not partition the element set")
                 block_of[x] = bi
-        if any(b is None for b in block_of):
-            raise NotACongruence("blocks do not cover the element set")
         self.block_of = tuple(block_of)
-        if check and not self._compatible():
-            raise NotACongruence(f"partition not compatible with {algebra.name}")
-
-    def _compatible(self):
-        a = self.algebra
-        bo = self.block_of
-        n = a.size
-        sides = _translation_tables(a)
-        for x in range(n):
-            for y in range(n):
-                if bo[x] != bo[y]:
-                    continue
-                if bo[a.neg[x]] != bo[a.neg[y]]:
-                    return False
-                for table in sides:
-                    if any(bo[u] != bo[v] for u, v in zip(table[x], table[y])):
-                        return False
-        return True
 
     def related(self, x, y):
         return self.block_of[x] == self.block_of[y]
@@ -271,6 +252,20 @@ def _lattice_covers(algebra):
     return covers
 
 
+def _principal_seeds(algebra):
+    """The label tables of the principal congruences of covering pairs, each
+    with one pair that generates it; of all pairs when meet and join are not a
+    lattice.  Every congruence but the identity contains one of them."""
+    rows = _congruence_rows(algebra)
+    pairs = _lattice_covers(algebra)
+    if pairs is None:
+        pairs = combinations(range(algebra.size), 2)
+    seeds = {}
+    for pair in pairs:
+        seeds.setdefault(_close(rows, _IDENTITY_LABELS, (pair,)), pair)
+    return seeds
+
+
 def congruence_lattice(algebra):
     """All congruences, as joins of principal congruences; includes identity and full.
 
@@ -289,12 +284,7 @@ def congruence_lattice(algebra):
             f"exceeds cap {DEFAULT_CONGRUENCE_CAP}"
         )
     rows = _congruence_rows(algebra)
-    pairs = _lattice_covers(algebra)
-    if pairs is None:
-        pairs = combinations(range(algebra.size), 2)
-    seeds = {}
-    for pair in pairs:
-        seeds.setdefault(_close(rows, _IDENTITY_LABELS, (pair,)), pair)
+    seeds = _principal_seeds(algebra)
     found = {_IDENTITY_LABELS, *seeds}
     frontier = list(seeds)
     while frontier:
@@ -313,22 +303,24 @@ def congruence_lattice(algebra):
 
 
 def is_simple(algebra):
-    """Simple: more than one element and no congruence besides identity and full."""
-    if algebra.size <= 1:
-        return False
-    return len(congruence_lattice(algebra)) == 2
+    """Simple: more than one element, and every principal seed is the full
+    congruence (a full label table sends every element to 0)."""
+    full = bytes(algebra.size)
+    return algebra.size > 1 and all(labels[:algebra.size] == full
+                                    for labels in _principal_seeds(algebra))
 
 
 def is_fsi(algebra):
-    """Finitely subdirectly irreducible: the identity congruence is meet-irreducible."""
-    lattice = congruence_lattice(algebra)
-    delta = identity_congruence(algebra)
-    for theta, phi in combinations(lattice, 2):
-        if theta == delta or phi == delta:
-            continue
-        if congruence_meet(theta, phi) == delta:
-            return False
-    return True
+    """Finitely subdirectly irreducible: the identity congruence is meet-irreducible.
+
+    Every congruence but the identity contains a principal seed, and in a
+    finite lattice the identity is meet-irreducible iff the meet of all other
+    elements is not the identity; so the seeds' meet, the partition by label
+    tuples, must have fewer than n blocks.  An algebra of at most one element
+    has the identity as its only congruence and counts as FSI.
+    """
+    n = algebra.size
+    return n < 2 or len(set(zip(*(labels[:n] for labels in _principal_seeds(algebra))))) < n
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ from itertools import product
 import pytest
 
 from relog.algebra import (
+    _BUILTINS,
     AXIOM_NAMES,
+    BUILTIN_NAMES,
     FiniteAlgebra,
     arrow,
+    builtin,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
@@ -27,6 +30,7 @@ from relog.errors import (
     SizeCapExceeded,
     UnknownElement,
 )
+from tests_oracle_helper import lattice_tables_from_covers
 
 C = builtin_crystal()
 B2 = builtin_boolean2()
@@ -68,6 +72,11 @@ def test_crystal_order():
     assert C.leq[BOT][T] and C.leq[T][A] and C.leq[T][B]
     assert C.leq[A][F] and C.leq[B][F] and C.leq[F][TOP]
     assert not C.leq[A][B] and not C.leq[B][A]
+
+
+def test_crystal_lattice_is_its_hasse_diagram():
+    covers = [(BOT, T), (T, A), (T, B), (A, F), (B, F), (F, TOP)]
+    assert lattice_tables_from_covers(6, covers) == (C.meet, C.join)
 
 
 def test_crystal_arrow_values():
@@ -199,6 +208,24 @@ def test_belnap_m_missing_data_file(tmp_path, monkeypatch):
         builtin_belnap_m()
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtins_load_once_from_their_data_files(name, tmp_path, monkeypatch):
+    algebra = builtin(name)
+    assert builtin(name) is algebra
+    with open(os.path.join(data_dir(), _BUILTINS[name][0]), encoding="utf-8") as fh:
+        assert load_algebra(fh.read()) == algebra
+    monkeypatch.setenv("RELOG_DATA_DIR", str(tmp_path))
+    with pytest.raises(DataFileMissing):
+        builtin(name)
+
+
+def test_builtin_with_the_wrong_element_count_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "crystal.alg").write_text(serialize(B2))
+    monkeypatch.setenv("RELOG_DATA_DIR", str(tmp_path))
+    with pytest.raises(ParseError, match="has 2 elements, expected 6"):
+        builtin_crystal()
+
+
 def test_data_dir_override(monkeypatch, tmp_path):
     monkeypatch.delenv("RELOG_DATA_DIR", raising=False)
     default = data_dir()
@@ -251,15 +278,6 @@ def test_load_unknown_element():
 def test_load_malformed_header():
     with pytest.raises(ParseError):
         load_algebra("algebr oops\nelements x\n")
-
-
-def test_shipped_files_match_builtins_byte_level():
-    for fname, builtin_algebra in (("crystal.alg", C), ("boolean2.alg", B2)):
-        path = os.path.join(data_dir(), fname)
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-        assert content == serialize(builtin_algebra)
-        assert load_algebra(content) == builtin_algebra
 
 
 def test_serialize_round_trip_all_builtins():

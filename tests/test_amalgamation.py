@@ -6,7 +6,7 @@ arms jointly injective on B, and on C in AP mode."""
 import pytest
 
 from relog import morph
-from relog.algebra import builtin, builtin_crystal, product, subalgebra
+from relog.algebra import FiniteAlgebra, builtin, builtin_crystal, product, subalgebra
 from relog.errors import RelogError, SizeCapExceeded
 from relog.morph import Morphism, Span, all_spans, amalgamate_span
 from relog.reproduce import _item_amalgamation
@@ -135,10 +135,25 @@ def test_trivial_span_amalgamates_in_the_empty_product():
 def test_targets_are_the_maximal_si_members_of_the_hs_class():
     # crystal x boolean2 is not SI; its SI quotients are crystal and its
     # subalgebras, and all of them embed in crystal
-    assert [(d.size, morph.is_fsi(d)) for d in morph._si_targets(_crystal_times_boolean2())] \
+    generator = _crystal_times_boolean2()
+    assert [(d.size, morph.is_fsi(d)) for d in morph._si_targets(generator, generator.name)] \
         == [(6, True)]
     # belnap-m's 3-element chain quotient embeds in no 8-element member
-    assert [d.size for d in morph._si_targets(builtin("belnap-m"))] == [3, 8]
+    belnap = builtin("belnap-m")
+    assert [d.size for d in morph._si_targets(belnap, belnap.name)] == [3, 8]
+
+
+def test_targets_are_named_after_their_own_generator():
+    # equal tables make equal algebras, whatever their names
+    generator = _crystal_times_boolean2()
+    renamed = FiniteAlgebra("renamed", generator.elements, generator.meet, generator.join,
+                            generator.fusion, generator.neg)
+    assert renamed == generator
+    for algebra in (generator, renamed):
+        span = next(s for s in all_spans(algebra)
+                    if amalgamate_span(s, algebra, "AP").amalgam.family[0][0].target != algebra)
+        family = amalgamate_span(span, algebra, "AP").amalgam.family
+        assert all(h.target.name.startswith(algebra.name + "[") for h, _ in family)
 
 
 def test_a_family_that_disagrees_on_the_apex_does_not_commute():

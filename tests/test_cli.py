@@ -7,6 +7,7 @@ import time
 import pytest
 
 from relog import cli
+from relog.algebra import BUILTIN_NAMES
 from relog.cli import main
 from relog.interp import VerificationTranscript
 from relog.logic import MAX_FORMULA_DEPTH
@@ -263,6 +264,17 @@ def test_malformed_pin_is_usage_error(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("pin, error", [("a:t", "UsageError"), ("a:a", "UnknownElement")],
+                         ids=["no-embedding", "outside-the-subalgebra"])
+def test_unsatisfiable_pin_is_an_error(capsys, pin, error):
+    code, report = run_json(
+        capsys, "amalgamate", "--algebra", "crystal",
+        "--apex", "bot,a,top", "--left", "bot,t,a,f,top",
+        "--right", "bot,t,b,f,top", "--map-right", pin,
+    )
+    assert (code, report["data"]["error"]) == (2, error)
 
 
 @pytest.mark.parametrize("content", [None, '{"gamma": ["p"], "alpha": ', '{"gamma": ["p"]}'],
@@ -567,9 +579,10 @@ def test_congruence_reports_of_a_square_file_are_pinned(capsys, tmp_path, factor
 # Data dir and subprocess entry point
 # ---------------------------------------------------------------------------
 
-def test_belnap_m_with_missing_data_dir(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_with_missing_data_dir(capsys, monkeypatch, tmp_path, name):
     monkeypatch.setenv("RELOG_DATA_DIR", str(tmp_path))
-    code, _, err = run_cli(capsys, "validate", "--algebra", "belnap-m")
+    code, _, err = run_cli(capsys, "validate", "--algebra", name)
     assert code == 2
     assert "DataFileMissing" in err or "not found" in err
 

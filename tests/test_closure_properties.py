@@ -40,6 +40,8 @@ from relog.subcon import (
     congruence_lattice,
     generated_subuniverse,
     hs_class,
+    is_fsi,
+    is_simple,
     principal_congruence,
 )
 from tests_oracle_helper import (
@@ -53,6 +55,7 @@ from tests_oracle_helper import (
     powerset_subuniverses,
     reference_generated_subuniverse,
     reference_interpolant_masks,
+    reference_simple_and_fsi,
     reference_subuniverses,
     set_partitions,
 )
@@ -129,6 +132,9 @@ def test_closures_match_their_oracles_on_random_tables(algebra, other):
     reference = brute_force_congruence_lattice(pair, limit=256)
     if reference is not None:
         assert congruence_lattice(pair) == reference
+        assert (is_simple(pair), is_fsi(pair)) == reference_simple_and_fsi(reference)
+    assert (is_simple(algebra), is_fsi(algebra)) == \
+        reference_simple_and_fsi(congruence_lattice(algebra))
     for labels in set_partitions(algebra.size):
         blocks = [[x for x in range(algebra.size) if labels[x] == b]
                   for b in set(labels)]

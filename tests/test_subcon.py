@@ -41,6 +41,7 @@ from tests_oracle_helper import (
     brute_force_principal_congruences,
     is_closed,
     powerset_subuniverses,
+    reference_simple_and_fsi,
     reference_subuniverses,
 )
 
@@ -279,7 +280,9 @@ def test_congruence_closures_label_at_most_256_elements():
     delta = identity_congruence(past)
     for call in (lambda: principal_congruence(past, 0, 1),
                  lambda: congruence_from_pairs(past, [(0, 1)]),
-                 lambda: congruence_join(delta, delta)):
+                 lambda: congruence_join(delta, delta),
+                 lambda: is_simple(past),
+                 lambda: is_fsi(past)):
         with pytest.raises(SizeCapExceeded, match="at most 256 elements"):
             call()
 
@@ -310,6 +313,24 @@ def test_simple_implies_fsi():
     for algebra in (C, B2, M):
         assert is_simple(algebra)
         assert is_fsi(algebra)
+
+
+_SIMPLE_AND_FSI_CASES = [
+    C, M, B2, *(d for algebra in (C, M, B2) for d in hs_class(algebra)),
+    power(B2, 5), power(C, 2), power(M, 2), direct_product([C, B2]),
+    quotient(C, [list(range(C.size))]), subalgebra(C, ()), NOT_A_LATTICE,
+]
+
+
+@pytest.mark.parametrize("algebra", _SIMPLE_AND_FSI_CASES, ids=lambda a: a.name)
+def test_simple_and_fsi_match_the_lattice_definitions(algebra):
+    assert (is_simple(algebra), is_fsi(algebra)) == \
+        reference_simple_and_fsi(congruence_lattice(algebra))
+
+
+def test_simple_and_fsi_are_decided_past_the_congruence_lattice_cap():
+    big = power(B2, 7)  # 128 elements, over DEFAULT_CONGRUENCE_CAP
+    assert (is_simple(big), is_fsi(big)) == (False, False)
 
 
 def test_square_of_boolean2_is_not_fsi():

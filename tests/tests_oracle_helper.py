@@ -29,6 +29,7 @@ from relog.subcon import (
     DEFAULT_SUBUNIVERSE_CAP,
     Congruence,
     all_subuniverses,
+    congruence_meet,
     identity_congruence,
 )
 
@@ -70,6 +71,24 @@ SKEW_MEET = FiniteAlgebra(
     "skew", ("a", "b", "c"), [(0, 0, 0), (0, 0, 0), (1, 0, 0)],
     [[x] * 3 for x in range(3)], [[x] * 3 for x in range(3)], range(3),
 )
+
+
+def lattice_tables_from_covers(n, covers):
+    """(meet, join) of the order on range(n) generated by the covering pairs
+    (x, y), x below y: each bound is the one that the most others lie below
+    (for meet) or above (for join)."""
+    leq = [[x == y for y in range(n)] for x in range(n)]
+    for x, y in covers:
+        leq[x][y] = True
+    for k, x, y in product(range(n), repeat=3):
+        leq[x][y] = leq[x][y] or (leq[x][k] and leq[k][y])
+    meet, join = [], []
+    for x in range(n):
+        lower = [[z for z in range(n) if leq[z][x] and leq[z][y]] for y in range(n)]
+        upper = [[z for z in range(n) if leq[x][z] and leq[y][z]] for y in range(n)]
+        meet.append(tuple(max(zs, key=lambda z: sum(leq[w][z] for w in zs)) for zs in lower))
+        join.append(tuple(max(zs, key=lambda z: sum(leq[z][w] for w in zs)) for zs in upper))
+    return tuple(meet), tuple(join)
 
 
 def brute_force_min_sizes(algebras, k, max_size):
@@ -303,6 +322,17 @@ def brute_force_congruence_lattice(algebra, limit=None):
                         return None
         frontier = new
     return sorted(found, key=lambda c: (-len(c.blocks), c.block_of))
+
+
+def reference_simple_and_fsi(lattice):
+    """(simple, FSI) read off a whole congruence lattice, finest first:
+    simple when it holds exactly the identity and a different full
+    congruence, FSI when no two congruences besides the identity meet in
+    the identity."""
+    delta = lattice[0]
+    fsi = not any(congruence_meet(theta, phi) == delta
+                  for theta, phi in combinations(lattice[1:], 2))
+    return len(lattice) == 2, fsi
 
 
 class ReferenceFreeAlgebra(FreeAlgebra):
