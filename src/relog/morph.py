@@ -1,8 +1,12 @@
 """Homomorphism enumeration, extensibility, and span amalgamation.
 
-Morphism search is plain backtracking over element images with incremental
-operation-preservation checks; results are always returned in lexicographic
-order of the map vector so reports are deterministic.
+Morphism search propagates: assigning an image forces the image of its
+negation and of its products with every element already assigned, and each
+forced image is checked against an earlier one or assigned in turn, with an
+undo trail to back out of a conflict.  The search branches only where nothing
+is forced, on the lowest unassigned index with images in increasing order, so
+results come out in lexicographic order of the map vector and reports are
+deterministic.
 """
 
 from __future__ import annotations
@@ -53,93 +57,99 @@ class Morphism:
 
 
 def _search_maps(source, target, injective=False, forced=None):
-    """Backtracking enumeration of operation-preserving maps, lexicographic order.
+    """Operation-preserving maps source -> target, in lexicographic order.
 
     Maps are yielded as the search finds them.  `forced` pins images for some
-    source indices before the search starts.
+    source indices before the search starts.  Every index below the one the
+    search branches on is fixed in its subtree, so trying values in
+    increasing order keeps the maps in lexicographic order.
     """
     n, m = source.size, target.size
+    sneg, tneg = source.neg, target.neg
+    # (source table, target table) per argument order; the second order
+    # repeats the first only if both the source and the target table commute
+    sides = []
+    for (s, st, sc), (t, tt, tc) in zip(source.binary_tables, target.binary_tables):
+        sides.append((s, t))
+        if not (sc and tc):
+            sides.append((st, tt))
     mapping = [None] * n
-    if forced:
-        for x, v in forced.items():
-            if mapping[x] is not None and mapping[x] != v:
-                return
-            mapping[x] = v
-    if injective:
-        used = [False] * m
-        seen = set()
-        for v in mapping:
-            if v is None:
-                continue
-            if v in seen:
-                return
-            seen.add(v)
-            used[v] = True
+    used = [False] * m
+    trail = []  # assigned source indices, in assignment order
+    values = []  # their images
 
-    # reverse index: for each source element r, the (table pair, x, y) producing it,
-    # so constraints where r is only a *result* are re-checked when r is assigned
-    tables = ((source.meet, target.meet), (source.join, target.join),
-              (source.fusion, target.fusion))
-    produced_by = [[] for _ in range(n)]
-    for stable, ttable in tables:
-        for x in range(n):
-            for y in range(n):
-                produced_by[stable[x][y]].append((ttable, x, y))
-    neg_preimage = [[] for _ in range(n)]
-    for x in range(n):
-        neg_preimage[source.neg[x]].append(x)
+    def assign(x, v):
+        """Assign x -> v and every image it forces; False on a conflict,
+        which leaves its partial work on the trail to be undone.
 
-    def consistent(k):
-        # every constraint whose participants are all assigned and that touches k
-        mk = mapping[k]
-        nk = mapping[source.neg[k]]
-        if nk is not None and nk != target.neg[mk]:
-            return False
-        for x in neg_preimage[k]:
-            mx = mapping[x]
-            if mx is not None and target.neg[mx] != mk:
-                return False
-        for y in range(n):
-            my = mapping[y]
-            if my is None:
-                continue
-            for stable, ttable in tables:
-                r = mapping[stable[k][y]]
-                if r is not None and r != ttable[mk][my]:
+        The trail is also the work queue.  An entry x -> v forces neg x ->
+        neg v and, for each binary table and each entry y up to x, the images
+        of x·y and y·x; a forced image of an assigned element is checked at
+        once, one of an unassigned element is assigned and queued.  So each
+        pair of assigned elements is checked once, when the later is taken.
+        """
+        k = len(trail)
+        pending = ((x, v),)
+        while True:
+            for r, w in pending:
+                image = mapping[r]
+                if image is None:
+                    if injective and used[w]:
+                        return False
+                    used[w] = True
+                    mapping[r] = w
+                    trail.append(r)
+                    values.append(w)
+                elif image != w:
                     return False
-                r = mapping[stable[y][k]]
-                if r is not None and r != ttable[my][mk]:
-                    return False
-        for ttable, x, y in produced_by[k]:
-            mx, my = mapping[x], mapping[y]
-            if mx is not None and my is not None and ttable[mx][my] != mk:
-                return False
-        return True
+            if k == len(trail):
+                return True
+            x = trail[k]
+            v = values[k]
+            k += 1
+            done = trail[:k]
+            images = values[:k]
+            pending = [(sneg[x], tneg[v])]
+            for s, t in sides:
+                sx, tv = s[x], t[v]
+                products = [sx[y] for y in done]
+                want = [tv[w] for w in images]
+                got = [mapping[r] for r in products]
+                if got != want:
+                    for r, g, w in zip(products, got, want):
+                        if g != w:
+                            if g is not None:
+                                return False
+                            pending.append((r, w))
 
-    order = [x for x in range(n) if mapping[x] is None]
-    pinned = [x for x in range(n) if mapping[x] is not None]
-    for x in pinned:
-        if not consistent(x):
+    for x, v in (forced or {}).items():
+        if not assign(x, v):
             return
 
-    def extend(i):
-        if i == len(order):
+    def lowest_free(x):
+        while x < n and mapping[x] is not None:
+            x += 1
+        return x
+
+    # an explicit stack of [index, next value, trail mark], so that deep
+    # searches do not recurse once per element
+    stack = [[lowest_free(0), 0, len(trail)]]
+    while stack:
+        frame = stack[-1]
+        x, v, mark = frame
+        if x == n:
             yield Morphism(source, target, tuple(mapping))
-            return
-        x = order[i]
-        for v in range(m):
-            if injective and used[v]:
-                continue
-            mapping[x] = v
-            if injective:
-                used[v] = True
-            if consistent(x):
-                yield from extend(i + 1)
-            mapping[x] = None
-            if injective:
-                used[v] = False
-
-    yield from extend(0)
+            stack.pop()
+            continue
+        while len(trail) > mark:  # undo back to the mark
+            mapping[trail.pop()] = None
+            used[values.pop()] = False
+        if v == m:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        if assign(x, v):
+            stack.append([lowest_free(x + 1), 0, len(trail)])
 
 
 def _guard_sizes(source, target):

@@ -14,10 +14,10 @@ A table that fails a lattice law, found from down-set and up-set bitmasks
 in O(n²), falls back to all pairs as generators.  Simplicity and finite
 subdirect irreducibility are read off these generators alone, without the
 lattice.  Subuniverses are bitmasks
-over the elements and grow one generator at a time from already-closed bases;
-a new element is combined with all members by one lookup per byte of the
-member mask, in tables built once per algebra.  Everything here is exhaustive:
-the results are exact, not sampled.
+over the elements and grow from already-closed bases by one one-generated
+subuniverse at a time; a new element is combined with all members by one
+lookup per byte of the member mask, in tables built once per algebra.
+Everything here is exhaustive: the results are exact, not sampled.
 """
 
 from __future__ import annotations
@@ -209,15 +209,6 @@ def congruence_join(theta, phi):
     return _congruence(algebra, _close(_congruence_rows(algebra), _labels(theta), pairs))
 
 
-def congruence_meet(theta, phi):
-    """Meet in the congruence lattice: intersection of the relations."""
-    algebra = theta.algebra
-    groups = {}
-    for x in range(algebra.size):
-        groups.setdefault((theta.block_of[x], phi.block_of[x]), []).append(x)
-    return Congruence(algebra, groups.values(), check=False)
-
-
 def _lattice_covers(algebra):
     """The pairs (x, y) with y covering x in the order of meet and join, or
     None when the two tables do not form a lattice.
@@ -389,6 +380,14 @@ def _grow(tables, members, pending):
     return members
 
 
+@lru_cache(maxsize=8)
+def _one_generated(algebra):
+    """The distinct one-generated subuniverses <x>, as masks, by least generator.
+    Built once per algebra, beside `_closure_tables`."""
+    tables = _closure_tables(algebra)
+    return tuple(dict.fromkeys(_grow(tables, 1 << x, 1 << x) for x in range(algebra.size)))
+
+
 def _members(mask):
     """The elements whose bits are set in `mask`, in increasing order."""
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
@@ -398,12 +397,12 @@ def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERS
     """Every subuniverse, found by closure growth rather than powerset filtering.
 
     Subuniverses are held as bitmasks over the elements.  Starting from the
-    empty set, each found subuniverse is extended by one outside generator and
-    closed; this reaches every subuniverse because closures are monotone in
-    their seeds.  An extension combines only the new generator and the elements
-    it brings in, never the base's own pairs, by lookups in tables built once
-    per algebra.  The masks become member tuples once, at the end, and are
-    canonically sorted by (size, members).
+    empty set, each found subuniverse B is extended by each distinct
+    one-generated subuniverse <x> outside it and closed: <B ∪ {x}> is
+    <B ∪ <x>>, so this reaches every subuniverse, and only the elements of
+    <x> not in B are combined, never the base's own pairs, by lookups in
+    tables built once per algebra.  The masks become member tuples once, at
+    the end, and are canonically sorted by (size, members).
     """
     if algebra.size > cap:
         raise SizeCapExceeded(
@@ -411,18 +410,18 @@ def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERS
             f"exceeds cap {cap}"
         )
     tables = _closure_tables(algebra)
-    bits = [1 << x for x in range(algebra.size)]
+    seeds = _one_generated(algebra)
     found = {0}
     frontier = [0]
     while frontier:
         base = frontier.pop()
-        for bit in bits:
-            if base & bit:
-                continue
-            grown = _grow(tables, base | bit, bit)
-            if grown not in found:
-                found.add(grown)
-                frontier.append(grown)
+        for seed in seeds:
+            union = base | seed
+            if union != base:
+                grown = _grow(tables, union, union ^ base)
+                if grown not in found:
+                    found.add(grown)
+                    frontier.append(grown)
     result = sorted(map(_members, found), key=lambda s: (len(s), s))
     if proper_nonempty_only:
         full = tuple(range(algebra.size))

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from itertools import product
 
 import pytest
@@ -23,6 +25,7 @@ from relog.morph import (
 )
 from relog.subcon import all_subuniverses
 from tests_oracle_helper import (
+    brute_force_maps,
     compose,
     identity_morphism,
     is_automorphism,
@@ -121,6 +124,55 @@ def test_embeddings_of_two_element_subalgebra():
             continue
         target = subalgebra(C, target_members)
         assert len(embeddings(s2, target)) == 1
+
+
+@pytest.mark.parametrize("algebra, count", [
+    (power(C, 2), 8),    # the a/b swap on each coordinate, and the coordinate swap
+    (power(M, 2), 8),
+    (power(B2, 5), 120),  # the permutations of the five coordinates
+])
+def test_automorphisms_of_products(algebra, count):
+    autos = automorphisms(algebra)
+    maps = [a.mapping for a in autos]
+    assert len(set(maps)) == len(maps) == count
+    assert maps == sorted(maps)
+    assert all(is_automorphism(a) for a in autos)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_homomorphisms_from_boolean_powers_are_the_projections(k):
+    # coordinate i of element x of boolean2^k is bit k-1-i of x
+    projections = [tuple(x >> (k - 1 - i) & 1 for x in range(2 ** k)) for i in range(k)]
+    assert [h.mapping for h in homomorphisms(power(B2, k), B2)] == sorted(projections)
+
+
+def test_commutative_source_into_noncommutative_target():
+    """With fusion the right projection, the identity on boolean2 preserves
+    x·y for x = 1, y = 0 but not y·x: a search that checks one argument order
+    because the source alone commutes accepts it, and there are no maps."""
+    right = FiniteAlgebra("boolean2-right", B2.elements, B2.meet, B2.join,
+                          [[0, 1], [0, 1]], B2.neg)
+    for source, target in ((B2, right), (right, B2)):
+        assert [h.mapping for h in homomorphisms(source, target)] == [
+            h.mapping for h in brute_force_maps(source, target)]
+    assert homomorphisms(B2, right) == []
+
+
+def test_search_that_branches_on_every_element_does_not_recurse():
+    """In a source whose products are left projections and whose neg is the
+    identity, nothing is forced: the search branches once per element."""
+    n = 300
+    left = [[x] * n for x in range(n)]
+    source = FiniteAlgebra("left-projections", [f"e{x}" for x in range(n)],
+                           left, left, left, range(n))
+    point = FiniteAlgebra("point", ["e"], [[0]], [[0]], [[0]], [0])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        homs = homomorphisms(source, point)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [h.mapping for h in homs] == [(0,) * n]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from relog.subcon import (
     congruence_from_pairs,
     congruence_join,
     congruence_lattice,
-    congruence_meet,
     full_congruence,
     generated_subuniverse,
     hs_class,
@@ -39,6 +38,7 @@ from tests_oracle_helper import (
     SKEW_MEET,
     brute_force_congruence_lattice,
     brute_force_principal_congruences,
+    congruence_meet,
     is_closed,
     powerset_subuniverses,
     reference_simple_and_fsi,

@@ -7,7 +7,8 @@ and pushes both orientations of every table.  The subuniverse oracles filter
 the whole powerset, or close element sets one generator at a time in both
 argument positions of every table.  The congruence-lattice oracle joins the
 principal congruences of all pairs with every congruence found, both from a
-union-find closure of element pairs.  The principal-congruence oracle
+union-find closure of element pairs, and the FSI oracle meets them as
+intersections of partitions.  The principal-congruence oracle
 searches all set partitions.  The valuation
 oracles list every valuation of a grid before filtering it.  The morphism
 checks at the end compose maps and test them against the tables; the
@@ -29,7 +30,6 @@ from relog.subcon import (
     DEFAULT_SUBUNIVERSE_CAP,
     Congruence,
     all_subuniverses,
-    congruence_meet,
     identity_congruence,
 )
 
@@ -322,6 +322,15 @@ def brute_force_congruence_lattice(algebra, limit=None):
                         return None
         frontier = new
     return sorted(found, key=lambda c: (-len(c.blocks), c.block_of))
+
+
+def congruence_meet(theta, phi):
+    """Meet in the congruence lattice: intersection of the relations."""
+    algebra = theta.algebra
+    groups = {}
+    for x in range(algebra.size):
+        groups.setdefault((theta.block_of[x], phi.block_of[x]), []).append(x)
+    return Congruence(algebra, groups.values(), check=False)
 
 
 def reference_simple_and_fsi(lattice):
