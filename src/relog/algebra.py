@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product as product_of
-from typing import NamedTuple
+from operator import getitem
 
 from .errors import (
     ArityError,
@@ -24,23 +24,10 @@ from .errors import (
 )
 
 DEFAULT_ELEMENT_CAP = 10**7
-# Largest algebra with lane tables: byte x*n + y must stay within 255.
+# Largest algebra with byte lanes: byte x*n + y must stay within 255.
 MAX_LANE_SIZE = 16
 
 _OP_NAMES = ("meet", "join", "fusion", "neg")
-
-
-class LaneTables(NamedTuple):
-    """256-byte `bytes.translate` tables for evaluating over byte lanes,
-    one element index per byte.  A binary operation on lanes a and b is
-    `a.translate(times_n)` read as a big int, plus b read as one, so byte
-    x*n + y holds the pair (x, y) and no carry crosses a byte; translating
-    that through a flat table gives the products."""
-    times_n: bytes        # x -> x*n
-    neg: bytes            # x -> neg x
-    binary: tuple         # meet, join, fusion: (flat, flat transpose or None)
-    designated: bytes     # x -> 1 if x is designated, else 0
-    undesignated: bytes   # x -> 0 if x is designated, else 1
 
 
 class FiniteAlgebra:
@@ -70,9 +57,6 @@ class FiniteAlgebra:
         self.leq = tuple(
             tuple(self.meet[x][y] == x for y in range(n)) for x in range(n)
         )
-        self._designated = None
-        self._binary_tables = None
-        self._lane_tables = None
         self._hash = hash(self.table_key())
 
     @property
@@ -89,19 +73,15 @@ class FiniteAlgebra:
     def names(self, indices):
         return tuple(self.elements[i] for i in indices)
 
-    @property
+    @cached_property
     def designated(self):
         """Indices of the truth filter {x : x->x <= x}."""
-        if self._designated is None:
-            self._designated = frozenset(
-                x for x in range(self.size) if self.leq[arrow(self, x, x)][x]
-            )
-        return self._designated
+        return frozenset(x for x in range(self.size) if self.leq[arrow(self, x, x)][x])
 
     def is_designated(self, x):
         return x in self.designated
 
-    @property
+    @cached_property
     def binary_tables(self):
         """(table, transpose, commutative) for meet, join and fusion, in that order.
 
@@ -110,40 +90,18 @@ class FiniteAlgebra:
         that visit both argument positions can skip the second.  Built once,
         on first use.
         """
-        if self._binary_tables is None:
-            triples = []
-            for table in (self.meet, self.join, self.fusion):
-                transpose = tuple(zip(*table))
-                commutative = transpose == table
-                triples.append((table, table if commutative else transpose, commutative))
-            self._binary_tables = tuple(triples)
-        return self._binary_tables
+        triples = []
+        for table in (self.meet, self.join, self.fusion):
+            transpose = tuple(zip(*table))
+            commutative = transpose == table
+            triples.append((table, table if commutative else transpose, commutative))
+        return tuple(triples)
 
-    @property
-    def lane_tables(self):
-        """The `LaneTables` of this algebra, or None past MAX_LANE_SIZE
-        elements.  A flat table sends x*n + y to table[x][y]; the flat
-        transpose, None for a commutative table, to table[y][x].  Built once,
-        on first use."""
-        if self._lane_tables is None and self.size <= MAX_LANE_SIZE:
-            n = self.size
-
-            def flat(t):
-                return bytes(t[x][y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
-
-            def pad(values):
-                return bytes(values) + bytes(256 - n)
-
-            designated = [x in self.designated for x in range(n)]
-            self._lane_tables = LaneTables(
-                times_n=pad(x * n for x in range(n)),
-                neg=pad(self.neg),
-                binary=tuple((flat(table), None if commutative else flat(transpose))
-                             for table, transpose, commutative in self.binary_tables),
-                designated=pad(designated),
-                undesignated=pad(not d for d in designated),
-            )
-        return self._lane_tables
+    @cached_property
+    def lanes(self):
+        """The lane evaluator of this algebra: `ByteLanes` up to MAX_LANE_SIZE
+        elements, `TupleLanes` past it.  Built once, on first use."""
+        return (ByteLanes if self.size <= MAX_LANE_SIZE else TupleLanes)(self)
 
     def table_key(self):
         """Hashable identity of the element list and the four tables."""
@@ -164,6 +122,111 @@ class FiniteAlgebra:
 def arrow(algebra, x, y):
     """The defined implication x -> y = neg(x fusion neg(y))."""
     return algebra.neg[algebra.fusion[x][algebra.neg[y]]]
+
+
+# ---------------------------------------------------------------------------
+# Lanes
+# ---------------------------------------------------------------------------
+
+class _Lanes:
+    """Evaluation over lanes, one element index per point: an element's value
+    vector in a free algebra, or a subformula's values over a chunk of a
+    valuation grid.  `neg` and `apply` act pointwise and `products` pairs one
+    lane with many.  `mask(lane, d)` is a big int whose byte i, point 0 the
+    most significant, is 1 iff point i's designatedness is d."""
+
+    def __init__(self, algebra):
+        self.size, self._neg = algebra.size, algebra.neg
+        # (name, table, transpose, commutative) for meet, join and fusion
+        self._tables = [(name, *tables) for name, tables in zip(_OP_NAMES, algebra.binary_tables)]
+        designated = bytes(x in algebra.designated for x in range(self.size))
+        self._masks = (bytes(1 - d for d in designated), designated)  # by designatedness
+
+    def grid(self, k):
+        """The lanes of k variables over their n**k valuations in C order:
+        the j-th takes each value on runs of n**(k-1-j) points."""
+        n = self.size
+        return [self._concat(self.encode((v,)) * n ** (k - 1 - j) for v in range(n)) * n ** j
+                for j in range(k)]
+
+
+class ByteLanes(_Lanes):
+    """Lanes as `bytes`, up to MAX_LANE_SIZE elements.  A binary operation on
+    lanes a and b is `a.translate(x -> x*n)` read as a big int, plus b read as
+    one, so byte x*n + y holds the pair (x, y) and no carry crosses a byte;
+    translating that through a flat 256-byte table gives the products."""
+
+    encode = bytes
+    _concat = b"".join
+
+    def __init__(self, algebra):
+        super().__init__(algebra)
+
+        def pad(values):
+            return bytes(values).ljust(256, b"\0")
+
+        self._times_n = pad(x * self.size for x in range(self.size))
+        self._neg, self._masks = pad(self._neg), tuple(map(pad, self._masks))
+        # per table, x*n + y -> table[x][y] and -> table[y][x], None if equal
+        self._flat = tuple((name, pad(chain.from_iterable(table)),
+                            None if commutative else pad(chain.from_iterable(transpose)))
+                           for name, table, transpose, commutative in self._tables)
+
+    def neg(self, lane):
+        return lane.translate(self._neg)
+
+    def apply(self, op, left, right):
+        """Table `op` (0 meet, 1 join, 2 fusion) at each point."""
+        pairs = int.from_bytes(left.translate(self._times_n), "big") + int.from_bytes(right, "big")
+        return pairs.to_bytes(len(left), "big").translate(self._flat[op][1])
+
+    def products(self, vector, others):
+        """Per table, the products of `vector` with each of `others` in both
+        argument positions: (the table's name, table[other][vector] per other,
+        table[vector][other] per other or None if it commutes), from one sum."""
+        width, total = len(vector), len(vector) * len(others)
+        pairs = (int.from_bytes(b"".join(others).translate(self._times_n), "big")
+                 + int.from_bytes(vector * len(others), "big")).to_bytes(total, "big")
+
+        def split(flat):
+            lane = pairs.translate(flat)
+            return [lane[i:i + width] for i in range(0, total, width)]
+
+        return [(name, split(flat), None if transpose is None else split(transpose))
+                for name, flat, transpose in self._flat]
+
+    def mask(self, lane, designated):
+        return int.from_bytes(lane.translate(self._masks[designated]), "big")
+
+
+class TupleLanes(_Lanes):
+    """Lanes as tuples, at any size, 8 bytes per point: a product is a
+    C-level `map` over the table rows that one operand selects."""
+
+    encode = tuple
+
+    @staticmethod
+    def _concat(pieces):
+        return tuple(chain.from_iterable(pieces))
+
+    def neg(self, lane):
+        return tuple(map(self._neg.__getitem__, lane))
+
+    def apply(self, op, left, right):
+        return tuple(map(getitem, map(self._tables[op][1].__getitem__, left), right))
+
+    def products(self, vector, others):
+        """`ByteLanes.products`, from one row list per table and argument
+        position; transpose[u][w] = table[w][u] for u in `vector`."""
+        def build(rows):
+            return [tuple(map(getitem, rows, other)) for other in others]
+
+        return [(name, build([transpose[u] for u in vector]),
+                 None if commutative else build([table[u] for u in vector]))
+                for name, table, transpose, commutative in self._tables]
+
+    def mask(self, lane, designated):
+        return int.from_bytes(bytes(map(self._masks[designated].__getitem__, lane)), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +526,21 @@ def _direct_product(name, factors):
         raise SizeCapExceeded(
             f"{name} would have {size} elements (cap {DEFAULT_ELEMENT_CAP})"
         )
-    coords = list(product_of(*(range(a.size) for a in factors)))
-    names = [".".join(a.elements[c] for a, c in zip(factors, tup)) for tup in coords]
-    pos = {tup: i for i, tup in enumerate(coords)}
-
-    def lift2(tables):
-        return [
-            [pos[tuple(t[u][v] for t, u, v in zip(tables, x, y))] for y in coords]
-            for x in coords
-        ]
-
-    meet = lift2([a.meet for a in factors])
-    join = lift2([a.join for a in factors])
-    fusion = lift2([a.fusion for a in factors])
-    neg = [pos[tuple(a.neg[u] for a, u in zip(factors, x))] for x in coords]
-    return FiniteAlgebra(name, names, meet, join, fusion, neg)
+    # Fold the factors pairwise: (x, a) is x*m + a for a factor of m elements.
+    # `ids` holds one int object per element; CPython shares only ints <= 256.
+    ids = list(range(size))
+    first, *rest = factors
+    names, neg = first.elements, first.neg
+    tables = (first.meet, first.join, first.fusion)
+    for factor in rest:
+        m = factor.size
+        names = [f"{x}.{a}" for x in names for a in factor.elements]
+        neg = [ids[x * m + a] for x in neg for a in factor.neg]
+        tables = [[[ids[xy + ab] for xy in scaled for ab in row]
+                   for scaled in ([xy * m for xy in outer] for outer in table)
+                   for row in inner]
+                  for table, inner in zip(tables, (factor.meet, factor.join, factor.fusion))]
+    return FiniteAlgebra(name, names, *tables, neg)
 
 
 def _partition_blocks(algebra, partition):

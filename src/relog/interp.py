@@ -13,8 +13,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from operator import getitem
 
 from .algebra import arrow
 from .errors import (
@@ -42,8 +40,7 @@ DEFAULT_FREE_ELEMENT_CAP = 10**6
 
 _GENERATOR = "gen"
 _UNARY = "neg"
-_BINARY_OPS = ("and", "or", "fuse")
-_CTOR = {"and": And, "or": Or, "fuse": Fuse}
+_CTOR = {"meet": And, "join": Or, "fusion": Fuse}
 
 
 class FreeAlgebra:
@@ -55,19 +52,13 @@ class FreeAlgebra:
     summing to s - 1 for a product.  So level s is complete once level s - 1
     is, and the first formula found for a vector has minimal size.  Within a
     level, candidates come by the id of the later-admitted operand, then the
-    other operand's id, then and, or, fuse, then (other, new) before (new,
+    other operand's id, then meet, join, fusion, then (other, new) before (new,
     other).  That is the pop order of a uniform-cost queue that breaks ties
     by insertion, so the walk finds the same order, sizes and parents.  A
     commutative table's product is built once, as (other, new).
 
-    Two builders make the products, chosen by the size n of `base`:
-
-    - n <= 16 (every builtin): vectors are `bytes`.  As x*n + y <= 255, the
-      products of the new vector with a range of admitted ones come from one
-      big-int add over their concatenation and one `bytes.translate` per
-      table, through the base's `lane_tables`.
-    - n > 16 (products, `vsp_scan` classes): vectors are tuples, and each
-      product is a C-level `map` over precomputed table rows.
+    Vectors are lanes of `base.lanes`, `bytes` or tuples, and one `products`
+    call pairs a new vector with a whole range of admitted ones.
     """
 
     def __init__(self, base, k, coordinate_cap=DEFAULT_COORDINATE_CAP,
@@ -85,7 +76,6 @@ class FreeAlgebra:
             )
         self.base = base
         self.k = k
-        self.width = width
         self.element_cap = element_cap
         self.vectors = []        # element id -> value vector
         self.sizes = []          # element id -> minimal representative size
@@ -94,54 +84,14 @@ class FreeAlgebra:
         self.closed = False
         self._candidates = self._walk()
         self._held = None        # a pulled candidate that a cap kept out
-        lanes = base.lane_tables
-        if lanes is not None:
-            self._times_n = lanes.times_n
-            self._lane_tables = tuple((op, right, left) for op, (right, left)
-                                      in zip(_BINARY_OPS, lanes.binary))
-            self._encode, self._products = bytes, self._lane_products
-        else:
-            self._tables = tuple(zip(_BINARY_OPS, base.binary_tables))
-            self._encode, self._products = tuple, self._row_products
-
-    def _lane_products(self, vector, lo, hi):
-        """Per operation, the products of `vector` with the admitted vectors
-        lo..hi-1 in both argument positions: (op, table[other][new] by other
-        id, table[new][other] or None).  Byte x*n + y of one sum holds the
-        pair (other, new), and no carry crosses a byte."""
-        width, total = self.width, (hi - lo) * self.width
-        pairs = (int.from_bytes(b"".join(self.vectors[lo:hi]).translate(self._times_n), "big")
-                 + int.from_bytes(vector * (hi - lo), "big")
-                 ).to_bytes(total, "big")
-
-        def split(flat):
-            lane = pairs.translate(flat)
-            return [lane[i:i + width] for i in range(0, total, width)]
-
-        return [(op, split(right), None if left is None else split(left))
-                for op, right, left in self._lane_tables]
-
-    def _row_products(self, vector, lo, hi):
-        """`_lane_products` for tuple vectors: `map` builds each product in C
-        from the rows that the new vector's coordinates select."""
-        others = self.vectors[lo:hi]
-
-        def build(rows):
-            return [tuple(map(getitem, rows, ovec)) for ovec in others]
-
-        # transpose[u][w] = table[w][u]: u is the new vector's coordinate
-        return [(op, build([transpose[u] for u in vector]),
-                 None if commutative else build([table[u] for u in vector]))
-                for op, (table, transpose, commutative) in self._tables]
 
     def _walk(self):
         """Yield (vector, size, parent) for each candidate not yet admitted,
         in discovery order: the generators, then size levels 2, 3, ...  while
         a product of two admitted elements can still reach the level."""
         vectors, sizes, index = self.vectors, self.sizes, self.index
-        grid = list(product(range(self.base.size), repeat=self.k))
-        for d in range(self.k):
-            vector = self._encode(val[d] for val in grid)
+        lanes = self.base.lanes
+        for d, vector in enumerate(lanes.grid(self.k)):
             if vector not in index:
                 yield vector, 1, (_GENERATOR, d, None)
         level = 2
@@ -151,14 +101,14 @@ class FreeAlgebra:
             for new_id in range(bisect_left(sizes, level // 2), len(sizes)):
                 size, vector = sizes[new_id], vectors[new_id]
                 if size == level - 1:
-                    neg = self._encode(map(self.base.neg.__getitem__, vector))
+                    neg = lanes.neg(vector)
                     if neg not in index:
                         yield neg, level, (_UNARY, new_id, None)
                     continue
                 other_size = level - 1 - size
                 lo = bisect_left(sizes, other_size)
                 hi = min(bisect_right(sizes, other_size), new_id + 1)
-                products = self._products(vector, lo, hi)
+                products = lanes.products(vector, vectors[lo:hi])
                 # with other_id == new_id, both positions give one vector
                 # and one parent, so the second is never new
                 for other_id in range(lo, hi):

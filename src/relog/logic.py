@@ -5,11 +5,11 @@ defined, x -> y = ~(x * ~y), and is desugared at parse time.  Consequence is
 finitary matrix consequence over a list of algebras: premises designated at a
 valuation must force the conclusion designated.
 
-`entails` decides it over byte lanes for algebras of at most 16 elements: a
-lane holds one element index per point of a chunk of the valuation grid, and
-each distinct subformula is one `bytes.translate` (negation) or one big-int
-add and one `translate` (a binary connective) per chunk.  Larger algebras
-are swept one valuation at a time by `designating_valuations`.
+`entails` decides it at every algebra size over `FiniteAlgebra.lanes`: each
+distinct subformula is one lane, one element index per point of a chunk of
+the valuation grid; a lane is `bytes` up to 16 elements and a tuple past 16.
+`designating_valuations` sweeps one valuation at a time for the interpolant
+masks.
 """
 
 from __future__ import annotations
@@ -337,22 +337,22 @@ def designating_valuations(algebra, premises, conclusion=None):
             yield valuation
 
 
-def _lane_program(tables, variables, formulas):
+def _lane_program(variables, formulas):
     """Number the distinct subformulas of `formulas`, the variables first, in
     the order of `variables`, and every operand before its result.  Returns
-    one step (table, operand, operand or None) per number past the
-    variables, and the numbers of `formulas`."""
+    one step (table index or None for neg, operand, operand or None) per
+    number past the variables, and the numbers of `formulas`."""
     slots = {Var(name): i for i, name in enumerate(variables)}
     steps = []
-    flat = {And: tables.binary[0][0], Or: tables.binary[1][0], Fuse: tables.binary[2][0]}
+    ops = {And: 0, Or: 1, Fuse: 2}
 
     def number(formula):
         slot = slots.get(formula)
         if slot is None:
             if isinstance(formula, Not):
-                steps.append((tables.neg, number(formula.arg), None))
+                steps.append((None, number(formula.arg), None))
             else:
-                steps.append((flat[type(formula)], number(formula.left),
+                steps.append((ops[type(formula)], number(formula.left),
                               number(formula.right)))
             slot = slots[formula] = len(variables) + len(steps) - 1
         return slot
@@ -362,37 +362,30 @@ def _lane_program(tables, variables, formulas):
 
 def _lane_countermodel(algebra, premises, conclusion, variables):
     """The lexicographically least valuation over `variables` that designates
-    every premise and not the conclusion, or None; `algebra` has lane tables.
+    every premise and not the conclusion, or None.
 
     The grid is walked in chunks of n**inner points, one per value of the
     leading k - inner variables, with n**inner <= _LANE_BYTES.  In a chunk,
-    each distinct subformula is one lane, byte i holding its value at the
-    chunk's i-th point.  The premises' designated lanes and the conclusion's
-    undesignated lane are ANDed as ints, and the first set byte is the least
-    countermodel of the chunk; the walk stops at the first chunk with one.
+    each distinct subformula is one lane of `algebra.lanes`.  The premises'
+    designated masks and the conclusion's undesignated mask are ANDed, and
+    the first set byte is the least countermodel of the chunk; the walk stops
+    at the first chunk with one.
     """
-    tables = algebra.lane_tables
-    times_n, designated = tables.times_n, tables.designated
+    lanes = algebra.lanes
     n, k = algebra.size, len(variables)
     inner, width = 0, 1
     while inner < k and width * n <= _LANE_BYTES:
         inner, width = inner + 1, width * n
-    # the chunk's j-th trailing variable takes each value on runs of n**(inner-1-j)
-    inner_lanes = [b"".join(bytes((v,)) * n ** (inner - 1 - j) for v in range(n)) * n ** j
-                   for j in range(inner)]
-    steps, (*premise_slots, goal) = _lane_program(tables, variables, premises + [conclusion])
+    inner_lanes = lanes.grid(inner)
+    steps, (*premise_slots, goal) = _lane_program(variables, premises + [conclusion])
     for prefix in product(range(n), repeat=k - inner):
-        lanes = [bytes((v,)) * width for v in prefix] + inner_lanes
-        for table, left, right in steps:
-            if right is None:
-                lanes.append(lanes[left].translate(table))
-            else:
-                pairs = (int.from_bytes(lanes[left].translate(times_n), "big")
-                         + int.from_bytes(lanes[right], "big"))
-                lanes.append(pairs.to_bytes(width, "big").translate(table))
-        bad = int.from_bytes(lanes[goal].translate(tables.undesignated), "big")
+        values = [lanes.encode((v,)) * width for v in prefix] + inner_lanes
+        for op, left, right in steps:
+            values.append(lanes.neg(values[left]) if op is None
+                          else lanes.apply(op, values[left], values[right]))
+        bad = lanes.mask(values[goal], False)
         for slot in premise_slots:
-            bad &= int.from_bytes(lanes[slot].translate(designated), "big")
+            bad &= lanes.mask(values[slot], True)
         if bad:
             # the first set byte of the big-endian `bad`
             point = width - 1 - (bad.bit_length() - 1) // 8
@@ -415,11 +408,8 @@ def entails(algebras, premises, conclusion):
     """
     premises = list(premises)
     for algebra in algebras:
-        if algebra.lane_tables is None:
-            valuation = next(designating_valuations(algebra, premises, conclusion), None)
-        else:
-            variables = _grid_variables(algebra, premises + [conclusion])
-            valuation = _lane_countermodel(algebra, premises, conclusion, variables)
+        variables = _grid_variables(algebra, premises + [conclusion])
+        valuation = _lane_countermodel(algebra, premises, conclusion, variables)
         if valuation is not None:
             return EntailmentVerdict(False, Countermodel(algebra, valuation))
     return EntailmentVerdict(True)

@@ -17,6 +17,7 @@ from relog.algebra import (
     load_algebra,
     load_algebra_file,
     power,
+    product as product_of,
     quotient,
     serialize,
     subalgebra,
@@ -30,7 +31,14 @@ from relog.errors import (
     SizeCapExceeded,
     UnknownElement,
 )
-from tests_oracle_helper import lattice_tables_from_covers
+from relog.subcon import hs_class
+from tests_oracle_helper import (
+    IMPLICATION_FUSION,
+    LEFT_BLIND_MEET,
+    NOT_A_LATTICE,
+    lattice_tables_from_covers,
+    reference_direct_product,
+)
 
 C = builtin_crystal()
 B2 = builtin_boolean2()
@@ -310,6 +318,34 @@ def test_power_boolean2_squared():
     # The truth filter of the square is the componentwise one: only (1,1).
     assert sq.names(sorted(sq.designated)) == ("1.1",)
     assert all(r.holds for r in validate_relevant_algebra(sq))
+
+
+# factor lists whose product, folded by index arithmetic, must equal the
+# coordinate-tuple construction, element names included
+PRODUCT_CASES = {
+    "crystal^2": lambda: [C, C],
+    "boolean2^5": lambda: [B2] * 5,
+    "crystal x belnap-m x boolean2": lambda: [C, M, B2],
+    "proper HS(crystal) members": lambda: hs_class(C)[:-1],
+    "non-commutative fixtures": lambda: [IMPLICATION_FUSION, LEFT_BLIND_MEET, NOT_A_LATTICE],
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_matches_the_coordinate_tuple_construction(case):
+    factors = PRODUCT_CASES[case]()
+    built = product_of(factors)
+    reference = reference_direct_product(built.name, factors)
+    assert built.table_key() == reference.table_key()
+
+
+def test_product_past_256_elements_shares_one_int_per_element():
+    """A product of 512 elements holds each element index as one object, not
+    one per table entry: a fresh int per entry took 42 MiB for the
+    720-element product of HS(crystal), against 16 MiB."""
+    big = power(B2, 9)
+    entries = [v for table in (big.meet, big.join, big.fusion) for row in table for v in row]
+    assert len({id(v) for v in entries + list(big.neg)}) == big.size
 
 
 def test_power_cap():

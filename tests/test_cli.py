@@ -6,11 +6,12 @@ import time
 
 import pytest
 
-from relog import cli
+from relog import cli, reproduce
 from relog.algebra import BUILTIN_NAMES
 from relog.cli import main
 from relog.interp import VerificationTranscript
 from relog.logic import MAX_FORMULA_DEPTH
+from relog.reproduce import run_claims_suite
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(REPO_ROOT, "docs", "report-schema.json")
@@ -543,6 +544,30 @@ def test_reproduce_quick_and_deterministic(capsys):
     assert statuses["lemma1.subalgebras"] == "pass"
     assert statuses["mip.crystal"] == "pass"
     assert statuses["cep.belnap-m"] == "info"
+
+
+def test_reproduce_on_one_instance_reports_the_missing_kind_as_info():
+    """One instance cannot be both a deductive problem and one with
+    premises.  Its interpolant verifies, so `mip.crystal` is info, not a
+    failure, and no item fails."""
+    items = {item.id: item for item in run_claims_suite(instances=1)}
+    assert items["mip.crystal"].status == "info"
+    assert items["mip.crystal"].detail.startswith("1/1 verified")
+    assert [i for i, item in items.items() if item.status == "fail"] == []
+
+
+@pytest.mark.parametrize("stats, ok", [
+    ({"verified": 3, "cap_exceeded": 0, "deductive": 1, "with_sigma": 2}, True),
+    ({"verified": 3, "cap_exceeded": 0, "deductive": 0, "with_sigma": 3}, None),
+    ({"verified": 3, "cap_exceeded": 0, "deductive": 3, "with_sigma": 0}, None),
+    ({"verified": 2, "cap_exceeded": 0, "deductive": 0, "with_sigma": 2}, False),
+    ({"verified": 2, "cap_exceeded": 1, "deductive": 1, "with_sigma": 1}, False),
+], ids=["both-kinds", "no-deductive", "no-premises", "unverified", "cap-overrun"])
+def test_mip_item_fails_only_on_an_unverified_interpolant_or_a_cap_overrun(
+        monkeypatch, stats, ok):
+    monkeypatch.setattr(reproduce, "run_mip_suite", lambda algebra, instances, seed: {
+        "instances": 3, "max_scanned": 1, **stats})
+    assert reproduce._item_mip(3, 0)[0] is ok
 
 
 def test_reproduce_output_matches_the_committed_report(capsys):

@@ -1,7 +1,7 @@
 """Property tests on random small tables, commutative or not: the closures
 that skip a commutative table's second argument position, the subuniverse
 closure on member masks, the congruence closure on byte labels and its
-lattice check, consequence over byte lanes and over the sweep,
+lattice check, consequence over byte and tuple lanes,
 interpolation decided from its two masks, and the morphism search, against
 their oracles; and the file format's round trip on products."""
 
@@ -10,15 +10,19 @@ from functools import lru_cache
 from itertools import combinations
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relog import logic, subcon
 from relog.algebra import (
+    ByteLanes,
     FiniteAlgebra,
+    TupleLanes,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
     load_algebra,
+    power,
     product,
     serialize,
     subalgebra,
@@ -31,7 +35,17 @@ from relog.errors import (
     NotEntailed,
 )
 from relog.interp import FreeAlgebra, maehara_interpolant, verify_interpolant
-from relog.logic import And, Fuse, Not, Or, Var, entails, verify_countermodel
+from relog.logic import (
+    And,
+    Fuse,
+    Not,
+    Or,
+    Var,
+    entails,
+    parse_formula,
+    parse_premises,
+    verify_countermodel,
+)
 from relog.morph import _search_maps
 from relog.subcon import (
     LATTICE_AXIOMS,
@@ -45,6 +59,7 @@ from relog.subcon import (
     principal_congruence,
 )
 from tests_oracle_helper import (
+    CHAIN17,
     ReferenceFreeAlgebra,
     brute_force_congruence_lattice,
     brute_force_maps,
@@ -246,20 +261,25 @@ def test_interpolation_matches_its_oracles_on_random_tables(algebra, sigma, gamm
     assert verify_interpolant(sigma, gamma, alpha, result.delta, [algebra]).ok
 
 
-def assert_entails_matches_the_sweep_oracle(algebras, premises, conclusion):
-    """The verdict of `entails`, and its countermodel's algebra and valuation,
-    are those of the first algebra whose listed grid has a designating
-    valuation, and its first one."""
-    verdict = entails(algebras, premises, conclusion)
+def assert_entails_matches_the_sweep_oracle(algebras, premises, conclusion,
+                                           chunks=(logic._LANE_BYTES,)):
+    """Under each lane length in `chunks`, the verdict of `entails`, and its
+    countermodel's algebra and valuation, are those of the first algebra
+    whose listed grid has a designating valuation, and its first one."""
+    verdicts = []
+    for chunk in chunks:
+        with patch.object(logic, "_LANE_BYTES", chunk):
+            verdicts.append(entails(algebras, premises, conclusion))
     for algebra in algebras:
         found = brute_force_designating_valuations(algebra, premises, conclusion)
         if found:
-            model = verdict.countermodel
-            assert not verdict.holds
-            assert model.algebra is algebra and model.valuation == found[0]
-            assert verify_countermodel(algebra, model.valuation, premises, conclusion)
+            for verdict in verdicts:
+                model = verdict.countermodel
+                assert not verdict.holds
+                assert model.algebra is algebra and model.valuation == found[0]
+                assert verify_countermodel(algebra, model.valuation, premises, conclusion)
             return
-    assert verdict.holds
+    assert all(verdict.holds for verdict in verdicts)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -267,19 +287,52 @@ def assert_entails_matches_the_sweep_oracle(algebras, premises, conclusion):
        st.lists(formulas(("p", "q", "r")), max_size=2),
        formulas(("p", "q", "r")))
 def test_entails_matches_the_sweep_oracle_on_random_tables(algebra, other, premises, conclusion):
-    """Byte lanes on up to 16 elements, one grid point per lane byte, with
-    the grid in one chunk and, under a 4-byte chunk, in many; the sweep on a
-    product of more than 16 elements, with r renamed to p to keep its grid
-    small."""
-    assert other.lane_tables is not None
+    """Byte lanes on up to 16 elements and tuple lanes on a product of more
+    than 16, one grid point per lane entry, each with the grid in one chunk
+    and, under a 4-point chunk, in many (one point each on the product); r
+    is renamed to p on the product to keep its grid small."""
+    assert isinstance(other.lanes, ByteLanes)
     assert_entails_matches_the_sweep_oracle([algebra, other], premises, conclusion)
-    with patch.object(logic, "_LANE_BYTES", 4):
-        assert_entails_matches_the_sweep_oracle([other, algebra], premises, conclusion)
+    assert_entails_matches_the_sweep_oracle([other, algebra], premises, conclusion, chunks=(4,))
     big = product([other, other])
-    assert big.lane_tables is None
+    assert isinstance(big.lanes, TupleLanes)
     rename = {"r": Var("p")}
     assert_entails_matches_the_sweep_oracle(
-        [big], [f.substitute(rename) for f in premises], conclusion.substitute(rename))
+        [big], [f.substitute(rename) for f in premises], conclusion.substitute(rename),
+        chunks=(logic._LANE_BYTES, 4))
+
+
+@pytest.mark.parametrize("big", [CHAIN17, product([CHAIN17, builtin_boolean2()])],
+                         ids=["chain17", "chain17 x boolean2"])
+def test_tuple_lanes_keep_the_argument_order_of_a_non_commutative_table(big):
+    """A tuple lane that swapped a table's arguments passed every random
+    case above.  The 17-element chain designates 7 of its elements and its
+    fusion does not commute, so here the argument order shows."""
+    for premises, conclusion in (("", "p * q"), ("", "q * p"), ("p * q", "q * p"),
+                                 ("q * p", "p * q"), ("p", "(p * q) | ~(q * p)"),
+                                 ("(p * ~q) & q", "p"), ("p & q", "q * p")):
+        assert_entails_matches_the_sweep_oracle(
+            [big], parse_premises(premises), parse_formula(conclusion),
+            chunks=(logic._LANE_BYTES, big.size, 4))
+
+
+PAST_256 = {
+    "boolean2^9": lambda: power(builtin_boolean2(), 9),
+    "crystal x belnap-m x boolean2^3": lambda: product(
+        [builtin_crystal(), builtin_belnap_m(), power(builtin_boolean2(), 3)]),
+}
+
+
+@pytest.mark.parametrize("case", PAST_256)
+def test_entails_past_256_elements_matches_the_sweep_oracle(case):
+    """Tuple lanes whose element indices no longer fit in a byte, on
+    one-variable problems, in one chunk and one point at a time."""
+    big = PAST_256[case]()
+    for premises, conclusion in (("", "p"), ("", "~p"), ("p", "p * p"), ("~p", "p -> ~p"),
+                                 ("p | ~p", "p & ~p"), ("~(p * ~p)", "p")):
+        assert_entails_matches_the_sweep_oracle(
+            [big], parse_premises(premises), parse_formula(conclusion),
+            chunks=(logic._LANE_BYTES, 4))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

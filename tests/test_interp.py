@@ -44,6 +44,7 @@ from relog.logic import (
 )
 from relog.reproduce import random_formula
 from tests_oracle_helper import (
+    CHAIN17,
     IMPLICATION_FUSION,
     LEFT_BLIND_MEET,
     NOT_A_LATTICE,
@@ -150,17 +151,6 @@ def test_free_algebra_caps():
             capped.freeze()
         assert len(capped.vectors) == 3 and not capped.closed
 
-
-# A 17-element chain, one past the byte-lane builder's 16: meet and join are
-# min and max, neg is x -> 16 - x, and fusion x * y = (x*y + x) mod 17 does
-# not commute.
-CHAIN17 = FiniteAlgebra(
-    "chain17", [f"c{i}" for i in range(17)],
-    [[min(x, y) for y in range(17)] for x in range(17)],
-    [[max(x, y) for y in range(17)] for x in range(17)],
-    [[(x * y + x) % 17 for y in range(17)] for x in range(17)],
-    [16 - x for x in range(17)],
-)
 
 # (base, generators, elements to grow to, or None to close)
 REFERENCE_CLOSURE_CASES = {

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relog.algebra import (
+    ByteLanes,
     arrow,
     builtin_belnap_m,
     builtin_boolean2,
@@ -247,8 +248,8 @@ def test_mingle_fails_over_both_maximal_algebras():
 
 
 def test_valuation_cap(monkeypatch):
-    """The cap fires before any formula is evaluated, over lanes and over
-    the sweep."""
+    """The cap fires before any formula is evaluated, over byte and tuple
+    lanes and over the sweep of the interpolant masks."""
     def evaluated(*args):
         raise AssertionError("a formula was evaluated")
 
@@ -260,7 +261,7 @@ def test_valuation_cap(monkeypatch):
         theorem([C], ten_variables)
     with pytest.raises(SizeCapExceeded):
         next(designating_valuations(C, [ten_variables]))
-    # the sweep's cap, on 36^5 valuations
+    # over tuple lanes, on 36^5 valuations
     five_variables = parse_formula(" | ".join(f"p{i}" for i in range(5)))
     with pytest.raises(SizeCapExceeded, match=r"36\^5"):
         theorem([direct_product([C, C])], five_variables)
@@ -308,7 +309,7 @@ def test_seven_variable_theorem_stays_within_a_mebibyte():
     """6^7 points: one lane over the whole grid would take 273 KiB per
     subformula, a chunk of 6^5 points takes 7.6 KiB."""
     formula = parse_formula("(v0 & v1 & v2 & v3) -> (v0 | v4 | v5 | v6)")
-    assert C.lane_tables is not None
+    assert isinstance(C.lanes, ByteLanes)
     tracemalloc.start()
     try:
         assert theorem([C], formula).holds

@@ -13,7 +13,8 @@ searches all set partitions.  The valuation
 oracles list every valuation of a grid before filtering it.  The morphism
 checks at the end compose maps and test them against the tables; the
 bounded amalgam search tries the subalgebras of powers of a generator one
-after another.  The
+after another.  The product oracle looks every entry up through its
+coordinate tuple.  The
 fixture tables below are not commutative, so they tell a closure that skips
 an argument position apart.
 """
@@ -70,6 +71,17 @@ LEFT_BLIND_MEET = FiniteAlgebra(
 SKEW_MEET = FiniteAlgebra(
     "skew", ("a", "b", "c"), [(0, 0, 0), (0, 0, 0), (1, 0, 0)],
     [[x] * 3 for x in range(3)], [[x] * 3 for x in range(3)], range(3),
+)
+
+# A 17-element chain, one past the byte lanes' 16: meet and join are min and
+# max, neg is x -> 16 - x, and fusion x * y = (x*y + x) mod 17 does not
+# commute.  Seven of its elements are designated.
+CHAIN17 = FiniteAlgebra(
+    "chain17", [f"c{i}" for i in range(17)],
+    [[min(x, y) for y in range(17)] for x in range(17)],
+    [[max(x, y) for y in range(17)] for x in range(17)],
+    [[(x * y + x) % 17 for y in range(17)] for x in range(17)],
+    [16 - x for x in range(17)],
 )
 
 
@@ -344,6 +356,25 @@ def reference_simple_and_fsi(lattice):
     return len(lattice) == 2, fsi
 
 
+def reference_direct_product(name, factors):
+    """The direct product built entry by entry through coordinate tuples:
+    elements in lexicographic order of the tuples, names joined with '.'."""
+    coords = list(product(*(range(a.size) for a in factors)))
+    names = [".".join(a.elements[c] for a, c in zip(factors, tup)) for tup in coords]
+    pos = {tup: i for i, tup in enumerate(coords)}
+
+    def lift2(tables):
+        return [
+            [pos[tuple(t[u][v] for t, u, v in zip(tables, x, y))] for y in coords]
+            for x in coords
+        ]
+
+    return FiniteAlgebra(name, names, lift2([a.meet for a in factors]),
+                         lift2([a.join for a in factors]),
+                         lift2([a.fusion for a in factors]),
+                         [pos[tuple(a.neg[u] for a, u in zip(factors, x))] for x in coords])
+
+
 class ReferenceFreeAlgebra(FreeAlgebra):
     """FreeAlgebra with a uniform-cost queue in place of the level walk, and
     its closure step built one coordinate at a time.
@@ -352,7 +383,7 @@ class ReferenceFreeAlgebra(FreeAlgebra):
     pushed again only at a smaller size.  Both orientations of every binary
     table are pushed for every pair, so no commutativity is assumed
     anywhere.  Only the vector encoding, `bytes` or tuple, is the
-    implementation's."""
+    implementation's: `base.lanes.encode`."""
 
     def __init__(self, base, k, **caps):
         super().__init__(base, k, **caps)
@@ -361,7 +392,7 @@ class ReferenceFreeAlgebra(FreeAlgebra):
         self._pushes = count()
         grid = list(product(range(base.size), repeat=k))
         for d in range(k):
-            self._push(self._encode(val[d] for val in grid), 1, ("gen", d, None))
+            self._push(base.lanes.encode(val[d] for val in grid), 1, ("gen", d, None))
 
     def _push(self, vector, size, parent):
         best = self._best.get(vector)
@@ -371,9 +402,9 @@ class ReferenceFreeAlgebra(FreeAlgebra):
         heapq.heappush(self._heap, (size, next(self._pushes), vector, parent))
 
     def _pop_next(self):
-        encode = self._encode
+        encode = self.base.lanes.encode
         neg = self.base.neg
-        tables = {"and": self.base.meet, "or": self.base.join, "fuse": self.base.fusion}
+        tables = {"meet": self.base.meet, "join": self.base.join, "fusion": self.base.fusion}
         while self._heap:
             size, _, vector, parent = heapq.heappop(self._heap)
             if vector in self.index:
@@ -387,7 +418,7 @@ class ReferenceFreeAlgebra(FreeAlgebra):
             for other_id in range(new_id + 1):
                 ovec = self.vectors[other_id]
                 osize = self.sizes[other_id]
-                for op in ("and", "or", "fuse"):
+                for op in ("meet", "join", "fusion"):
                     table = tables[op]
                     if other_id != new_id:
                         self._push(
