@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import chain, product as product_of
 from operator import getitem
 
@@ -37,7 +37,8 @@ class FiniteAlgebra:
         self.name = name
         self.elements = tuple(elements)
         n = len(self.elements)
-        if len(set(self.elements)) != n:
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        if len(self.index) != n:
             raise ParseError(f"duplicate element names in algebra {name!r}")
         self.meet = tuple(tuple(row) for row in meet)
         self.join = tuple(tuple(row) for row in join)
@@ -46,18 +47,13 @@ class FiniteAlgebra:
         for label, table in (("meet", self.meet), ("join", self.join), ("fusion", self.fusion)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ArityError(f"{label} table of {name!r} is not {n}x{n}")
-            if any(not (0 <= v < n) for row in table for v in row):
+            if any(min(row) < 0 or max(row) >= n for row in table):
                 raise UnknownElement(f"{label} table of {name!r} has an out-of-range entry")
         if len(self.neg) != n:
             raise ArityError(f"neg table of {name!r} does not have {n} entries")
-        if any(not (0 <= v < n) for v in self.neg):
+        if n and (min(self.neg) < 0 or max(self.neg) >= n):
             raise UnknownElement(f"neg table of {name!r} has an out-of-range entry")
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        # x <= y iff x meet y == x; meaningful once meet is a semilattice.
-        self.leq = tuple(
-            tuple(self.meet[x][y] == x for y in range(n)) for x in range(n)
-        )
-        self._hash = hash(self.table_key())
+        self._derived = {}        # see `derived`
 
     @property
     def size(self):
@@ -72,6 +68,11 @@ class FiniteAlgebra:
 
     def names(self, indices):
         return tuple(self.elements[i] for i in indices)
+
+    @cached_property
+    def leq(self):
+        """leq[x][y] iff x meet y == x; meaningful once meet is a semilattice."""
+        return tuple(tuple(v == x for v in row) for x, row in enumerate(self.meet))
 
     @cached_property
     def designated(self):
@@ -113,10 +114,28 @@ class FiniteAlgebra:
         return self.table_key() == other.table_key()
 
     def __hash__(self):
-        return self._hash
+        return self._table_hash
+
+    @cached_property
+    def _table_hash(self):
+        return hash(self.table_key())
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, {self.size} elements)"
+
+
+def derived(build):
+    """Cache `build(algebra, *args)` on the algebra, by `build` and `args`:
+    built on first use, freed with the algebra, never shared by equal tables."""
+    @wraps(build)
+    def cached(algebra, *args):
+        key = (build, *args)
+        try:
+            return algebra._derived[key]
+        except KeyError:
+            value = algebra._derived[key] = build(algebra, *args)
+            return value
+    return cached
 
 
 def arrow(algebra, x, y):
@@ -254,29 +273,11 @@ class AxiomReport:
         }
 
 
-def _check1(pred):
+def _check(arity, pred):
     def run(a):
-        for x in range(a.size):
-            if not pred(a, x):
-                return {"x": a.elements[x]}
-        return None
-    return run
-
-
-def _check2(pred):
-    def run(a):
-        for x, y in product_of(range(a.size), repeat=2):
-            if not pred(a, x, y):
-                return {"x": a.elements[x], "y": a.elements[y]}
-        return None
-    return run
-
-
-def _check3(pred):
-    def run(a):
-        for x, y, z in product_of(range(a.size), repeat=3):
-            if not pred(a, x, y, z):
-                return {"x": a.elements[x], "y": a.elements[y], "z": a.elements[z]}
+        for args in product_of(range(a.size), repeat=arity):
+            if not pred(a, *args):
+                return dict(zip("xyz", a.names(args)))
         return None
     return run
 
@@ -285,31 +286,31 @@ def _check3(pred):
 # runs every entry (or a chosen subset) and reports rather than raising, so a
 # mutated table can be inspected axiom by axiom.
 AXIOM_CHECKLIST = (
-    ("meet-idempotent", _check1(lambda a, x: a.meet[x][x] == x)),
-    ("meet-commutative", _check2(lambda a, x, y: a.meet[x][y] == a.meet[y][x])),
-    ("meet-associative", _check3(
+    ("meet-idempotent", _check(1, lambda a, x: a.meet[x][x] == x)),
+    ("meet-commutative", _check(2, lambda a, x, y: a.meet[x][y] == a.meet[y][x])),
+    ("meet-associative", _check(3,
         lambda a, x, y, z: a.meet[a.meet[x][y]][z] == a.meet[x][a.meet[y][z]])),
-    ("join-idempotent", _check1(lambda a, x: a.join[x][x] == x)),
-    ("join-commutative", _check2(lambda a, x, y: a.join[x][y] == a.join[y][x])),
-    ("join-associative", _check3(
+    ("join-idempotent", _check(1, lambda a, x: a.join[x][x] == x)),
+    ("join-commutative", _check(2, lambda a, x, y: a.join[x][y] == a.join[y][x])),
+    ("join-associative", _check(3,
         lambda a, x, y, z: a.join[a.join[x][y]][z] == a.join[x][a.join[y][z]])),
-    ("absorption", _check2(
+    ("absorption", _check(2,
         lambda a, x, y: a.meet[x][a.join[x][y]] == x and a.join[x][a.meet[x][y]] == x)),
-    ("distributivity", _check3(
+    ("distributivity", _check(3,
         lambda a, x, y, z: a.meet[x][a.join[y][z]] == a.join[a.meet[x][y]][a.meet[x][z]])),
-    ("neg-involution", _check1(lambda a, x: a.neg[a.neg[x]] == x)),
-    ("neg-de-morgan", _check2(
+    ("neg-involution", _check(1, lambda a, x: a.neg[a.neg[x]] == x)),
+    ("neg-de-morgan", _check(2,
         lambda a, x, y: a.neg[a.meet[x][y]] == a.join[a.neg[x]][a.neg[y]])),
-    ("fusion-commutative", _check2(lambda a, x, y: a.fusion[x][y] == a.fusion[y][x])),
-    ("fusion-associative", _check3(
+    ("fusion-commutative", _check(2, lambda a, x, y: a.fusion[x][y] == a.fusion[y][x])),
+    ("fusion-associative", _check(3,
         lambda a, x, y, z: a.fusion[a.fusion[x][y]][z] == a.fusion[x][a.fusion[y][z]])),
-    ("fusion-square-increasing", _check1(lambda a, x: a.leq[x][a.fusion[x][x]])),
-    ("fusion-monotone", _check3(
+    ("fusion-square-increasing", _check(1, lambda a, x: a.leq[x][a.fusion[x][x]])),
+    ("fusion-monotone", _check(3,
         lambda a, x, y, z: (not a.leq[x][y]) or a.leq[a.fusion[x][z]][a.fusion[y][z]])),
-    ("fusion-join-distributive", _check3(
+    ("fusion-join-distributive", _check(3,
         lambda a, x, y, z:
         a.fusion[x][a.join[y][z]] == a.join[a.fusion[x][y]][a.fusion[x][z]])),
-    ("residuation", _check3(
+    ("residuation", _check(3,
         lambda a, x, y, z: a.leq[a.fusion[x][y]][z] == a.leq[y][arrow(a, x, z)])),
 )
 
@@ -445,6 +446,8 @@ def load_algebra_file(path):
         raise DataFileMissing(f"algebra file not found: {path}") from None
     except IsADirectoryError:
         raise DataFileMissing(f"algebra file is a directory: {path}") from None
+    except OSError as exc:
+        raise DataFileMissing(f"algebra file {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"algebra file {path} is not UTF-8 text (byte {exc.start})"

@@ -127,9 +127,9 @@ def _cmd_validate(args):
 
 def _cmd_subalgebras(args):
     algebra = _resolve_algebra(args, args.algebra)
-    subs = all_subuniverses(algebra, proper_nonempty_only=args.proper)
-    if not args.include_empty:
-        subs = [s for s in subs if s]
+    full = tuple(range(algebra.size))
+    subs = [s for s in all_subuniverses(algebra)
+            if (s or args.include_empty) and not (args.proper and s == full)]
     universes = [list(algebra.names(s)) for s in subs]
     lines = [f"{len(universes)} subuniverses of {algebra.name}:"]
     lines += ["  {" + ", ".join(u) + "}" for u in universes]
@@ -465,7 +465,8 @@ def build_parser():
     p = with_algebra(command("subalgebras", help="enumerate subuniverses"))
     p.add_argument("--proper", action="store_true",
                    help="exclude the full universe")
-    p.add_argument("--include-empty", action="store_true")
+    p.add_argument("--include-empty", action="store_true",
+                   help="include the empty universe, with or without --proper")
 
     with_algebra(command("congruences", help="list the congruence lattice"))
 
@@ -561,7 +562,12 @@ def main(argv=None):
         out = sys.stderr
     if args.warnings:
         report["data"]["warnings"] = args.warnings
-    _emit(report, lines, args.format, out)
+    try:
+        _emit(report, lines, args.format, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit goes to devnull, the exit code stays
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return report["exit_code"]
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import arrow
+from .algebra import arrow, derived
 from .errors import (
     CapExceeded,
     InterpolantNotFound,
@@ -197,7 +196,7 @@ def free_algebra(base, k):
     return FreeAlgebra(base, k).freeze()
 
 
-@lru_cache(maxsize=16)
+@derived
 def _shared_free_algebra(base, k, element_cap):
     return FreeAlgebra(base, k, element_cap=element_cap)
 

@@ -12,8 +12,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from .algebra import FiniteAlgebra, subalgebra
+from .algebra import FiniteAlgebra, derived, subalgebra
 from .errors import RelogError, SizeCapExceeded
 from .subcon import _lattice_covers, all_subuniverses, hs_class, is_fsi
 
@@ -322,16 +321,11 @@ def all_spans(algebra):
                         yield Span(left, right)
 
 
-_generator_covers = lru_cache(maxsize=8)(_lattice_covers)  # checked once per sweep
-
-
-@lru_cache(maxsize=8)
-def _si_targets(generator, name):
+@derived
+def _si_targets(generator):
     """The subdirectly irreducible members of HS(generator) that embed in no
     larger one, by size then name.  A finite FSI algebra is SI, and a map into
-    a subalgebra is a map into the larger algebra, so these targets suffice.
-    `name` is the generator's name: the targets are named after it, and
-    algebras with equal tables are equal whatever their names."""
+    a subalgebra is a map into the larger algebra, so these targets suffice."""
     members = [d for d in hs_class(generator) if is_fsi(d)]
     return tuple(d for i, d in enumerate(members) if not any(
         e.size > d.size and next(_search_maps(d, e, injective=True), None)
@@ -371,7 +365,7 @@ def amalgamate_span(span, generator, mode="AP"):
         raise ValueError("AP-mode span needs both legs injective")
     if mode == "TIP" and not span.right.is_embedding:
         raise ValueError("TIP-mode span needs an injective right leg")
-    if _generator_covers(generator) is None:
+    if _lattice_covers(generator) is None:
         raise RelogError(f"the meet and join of {generator.name} are not a lattice: Jonsson's "
                          "lemma, which the amalgam decision rests on, does not apply")
     for pair in _commuting_pairs(span, generator, True, mode == "AP"):
@@ -379,7 +373,7 @@ def amalgamate_span(span, generator, mode="AP"):
 
     sides = (span.left.target, span.right.target)[:2 if mode == "AP" else 1]
     unseparated = [{(x, y) for x in range(s.size) for y in range(x)} for s in sides]
-    pairs = (pair for target in _si_targets(generator, generator.name)
+    pairs = (pair for target in _si_targets(generator)
              for pair in _commuting_pairs(span, target, False, False))
     family = []
     while any(unseparated):

@@ -23,10 +23,9 @@ Everything here is exhaustive: the results are exact, not sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 
-from .algebra import FiniteAlgebra, _partition_blocks, quotient, subalgebra
+from .algebra import FiniteAlgebra, _partition_blocks, derived, quotient, subalgebra
 from .errors import SizeCapExceeded, UnknownElement
 
 DEFAULT_SUBUNIVERSE_CAP = 24
@@ -116,12 +115,11 @@ _MAX_LABELLED = 256
 _IDENTITY_LABELS = bytes(range(256))
 
 
-@lru_cache(maxsize=8)
+@derived
 def _congruence_rows(algebra):
     """Per element x, one `bytes` row: row x of every table of
     `_translation_tables`, then neg x.  Position i of two rows holds the
-    images of x and y under one one-step translation.  Built once per algebra,
-    since every closure over it reads the same rows."""
+    images of x and y under one one-step translation."""
     if algebra.size > _MAX_LABELLED:
         raise SizeCapExceeded(
             f"congruences of {algebra.name} ({algebra.size} elements) need one "
@@ -209,6 +207,7 @@ def congruence_join(theta, phi):
     return _congruence(algebra, _close(_congruence_rows(algebra), _labels(theta), pairs))
 
 
+@derived
 def _lattice_covers(algebra):
     """The pairs (x, y) with y covering x in the order of meet and join, or
     None when the two tables do not form a lattice.
@@ -332,14 +331,13 @@ def generated_subuniverse(algebra, seed):
     return _members(_grow(_closure_tables(algebra), mask, mask))
 
 
-@lru_cache(maxsize=8)
+@derived
 def _closure_tables(algebra):
     """Per element z: the bit of neg z, and one table per byte of a member mask.
 
     Entry b of byte k's table is the mask of every product z op y and y op z,
     over the three binary tables and every y = 8k + i with bit i set in b.
     An algebra of fewer than eight elements has one table of 2**size entries.
-    Built once per algebra, since every closure over it reads the same tables.
     """
     n = algebra.size
     sides = _translation_tables(algebra)
@@ -380,10 +378,9 @@ def _grow(tables, members, pending):
     return members
 
 
-@lru_cache(maxsize=8)
+@derived
 def _one_generated(algebra):
-    """The distinct one-generated subuniverses <x>, as masks, by least generator.
-    Built once per algebra, beside `_closure_tables`."""
+    """The distinct one-generated subuniverses <x>, as masks, by least generator."""
     tables = _closure_tables(algebra)
     return tuple(dict.fromkeys(_grow(tables, 1 << x, 1 << x) for x in range(algebra.size)))
 

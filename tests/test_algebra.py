@@ -14,6 +14,7 @@ from relog.algebra import (
     builtin_boolean2,
     builtin_crystal,
     data_dir,
+    derived,
     load_algebra,
     load_algebra_file,
     power,
@@ -38,6 +39,7 @@ from tests_oracle_helper import (
     NOT_A_LATTICE,
     lattice_tables_from_covers,
     reference_direct_product,
+    renamed,
 )
 
 C = builtin_crystal()
@@ -143,6 +145,52 @@ def test_counterexample_falsifies_axiom():
     assert not report.holds
     x, y = broken.el(report.counterexample["x"]), broken.el(report.counterexample["y"])
     assert broken.fusion[x][y] != broken.fusion[y][x]
+
+
+def _mutated(algebra, table, x, y, value):
+    tables = {op: [list(row) for row in getattr(algebra, op)] for op in ("meet", "join", "fusion")}
+    neg = list(algebra.neg)
+    if table == "neg":
+        neg[x] = value
+    else:
+        tables[table][x][y] = value
+    return FiniteAlgebra(algebra.name + "~", algebra.elements, tables["meet"],
+                         tables["join"], tables["fusion"], neg)
+
+
+# (builtin, table, x, y, new value) -> every failing axiom with its first
+# counterexample, as the per-arity checkers reported them before they became one
+MUTATED_COUNTEREXAMPLES = [
+    (("crystal", "meet", 1, 2, 0), {
+        "meet-commutative": {"x": "t", "y": "a"},
+        "meet-associative": {"x": "t", "y": "a", "z": "t"},
+        "absorption": {"x": "t", "y": "a"},
+        "distributivity": {"x": "t", "y": "t", "z": "a"},
+        "neg-de-morgan": {"x": "t", "y": "a"},
+        "residuation": {"x": "a", "y": "t", "z": "a"},
+    }),
+    (("belnap-m", "join", 2, 5, 7), {
+        "join-commutative": {"x": "n1", "y": "p1"},
+        "join-associative": {"x": "n1", "y": "n1", "z": "p0"},
+        "distributivity": {"x": "n2", "y": "n1", "z": "p1"},
+        "neg-de-morgan": {"x": "p1", "y": "n1"},
+        "fusion-join-distributive": {"x": "n1", "y": "n1", "z": "p1"},
+    }),
+    (("belnap-m", "neg", 0, None, 3), {
+        "neg-involution": {"x": "n3"},
+        "neg-de-morgan": {"x": "n3", "y": "n2"},
+        "residuation": {"x": "n3", "y": "p0", "z": "n3"},
+    }),
+    (("boolean2", "fusion", 1, 1, 0), {"fusion-square-increasing": {"x": "1"}}),
+]
+
+
+@pytest.mark.parametrize("mutation, expected", MUTATED_COUNTEREXAMPLES)
+def test_checklist_pins_the_first_counterexample_of_each_axiom(mutation, expected):
+    name, *change = mutation
+    reports = validate_relevant_algebra(_mutated(builtin(name), *change))
+    failed = {r.axiom: list(r.counterexample.items()) for r in reports if not r.holds}
+    assert failed == {axiom: list(cx.items()) for axiom, cx in expected.items()}
 
 
 def test_arrow_diagonal_designated_everywhere():
@@ -346,6 +394,38 @@ def test_product_past_256_elements_shares_one_int_per_element():
     big = power(B2, 9)
     entries = [v for table in (big.meet, big.join, big.fusion) for row in table for v in row]
     assert len({id(v) for v in entries + list(big.neg)}) == big.size
+
+
+def test_construction_builds_no_order_and_no_hash():
+    fresh = renamed(C, "fresh")
+    assert "leq" not in vars(fresh) and "_table_hash" not in vars(fresh)
+
+
+@pytest.mark.parametrize("algebra", [C, B2, M, power(B2, 5), product_of([C, M, B2])],
+                         ids=lambda a: a.name)
+def test_lazy_order_equality_and_hash_match_the_eager_definitions(algebra):
+    n = algebra.size
+    assert algebra.leq == tuple(tuple(algebra.meet[x][y] == x for y in range(n))
+                                for x in range(n))
+    copy = renamed(algebra, "copy")
+    assert hash(copy) == hash(algebra) == hash(algebra.table_key())
+    assert copy == algebra and copy is not algebra
+    assert _mutated(algebra, "neg", 0, None, algebra.neg[1]) != algebra
+
+
+def test_derived_values_live_on_their_algebra_keyed_by_arguments():
+    calls = []
+
+    @derived
+    def build(algebra, k=None):
+        calls.append((algebra.name, k))
+        return None if k is None else [algebra.name, k]
+
+    one, twin = renamed(C, "one"), renamed(C, "twin")
+    assert build(one) is None and build(one) is None
+    first = build(twin, 2)
+    assert build(twin, 2) is first and build(twin, 3) == ["twin", 3]
+    assert calls == [("one", None), ("twin", 2), ("twin", 3)]
 
 
 def test_power_cap():

@@ -5,8 +5,8 @@ arms jointly injective on B, and on C in AP mode."""
 
 import pytest
 
-from relog import morph
-from relog.algebra import FiniteAlgebra, builtin, builtin_crystal, product, subalgebra
+from relog import morph, reproduce
+from relog.algebra import builtin, builtin_crystal, product, subalgebra
 from relog.errors import RelogError, SizeCapExceeded
 from relog.morph import Morphism, Span, all_spans, amalgamate_span
 from relog.reproduce import _item_amalgamation
@@ -16,6 +16,7 @@ from tests_oracle_helper import (
     identity_morphism,
     preserves_operations,
     reference_amalgam_in_powers,
+    renamed,
 )
 
 
@@ -95,7 +96,8 @@ def test_crystal_spans_never_build_the_hs_class(monkeypatch):
     def refuse(algebra):
         raise AssertionError("hs_class called")
 
-    morph._si_targets.cache_clear()
+    fresh = renamed(builtin_crystal(), "crystal")
+    monkeypatch.setattr(reproduce, "builtin_crystal", lambda: fresh)
     monkeypatch.setattr(morph, "hs_class", refuse)
     assert _item_amalgamation() == (
         True, "173 spans searched, 0 without an amalgam in the generator")
@@ -105,8 +107,7 @@ def test_a_sweep_builds_the_targets_once(monkeypatch):
     calls = []
     real = morph.hs_class
     monkeypatch.setattr(morph, "hs_class", lambda a: calls.append(a) or real(a))
-    morph._si_targets.cache_clear()
-    generator = builtin("belnap-m")
+    generator = renamed(builtin("belnap-m"), "belnap-m")
     misses = sum(not amalgamate_span(s, generator, "AP").found for s in all_spans(generator))
     assert (misses, calls) == (216, [generator])
 
@@ -136,20 +137,21 @@ def test_targets_are_the_maximal_si_members_of_the_hs_class():
     # crystal x boolean2 is not SI; its SI quotients are crystal and its
     # subalgebras, and all of them embed in crystal
     generator = _crystal_times_boolean2()
-    assert [(d.size, morph.is_fsi(d)) for d in morph._si_targets(generator, generator.name)] \
+    assert [(d.size, morph.is_fsi(d)) for d in morph._si_targets(generator)] \
         == [(6, True)]
     # belnap-m's 3-element chain quotient embeds in no 8-element member
     belnap = builtin("belnap-m")
-    assert [d.size for d in morph._si_targets(belnap, belnap.name)] == [3, 8]
+    assert [d.size for d in morph._si_targets(belnap)] == [3, 8]
 
 
 def test_targets_are_named_after_their_own_generator():
-    # equal tables make equal algebras, whatever their names
+    # equal tables make equal algebras, whatever their names, yet each
+    # algebra builds its own targets
     generator = _crystal_times_boolean2()
-    renamed = FiniteAlgebra("renamed", generator.elements, generator.meet, generator.join,
-                            generator.fusion, generator.neg)
-    assert renamed == generator
-    for algebra in (generator, renamed):
+    twin = renamed(generator, "twin")
+    assert twin == generator
+    for algebra in (generator, twin):
+        assert all(d.name.startswith(algebra.name + "[") for d in morph._si_targets(algebra))
         span = next(s for s in all_spans(algebra)
                     if amalgamate_span(s, algebra, "AP").amalgam.family[0][0].target != algebra)
         family = amalgamate_span(span, algebra, "AP").amalgam.family

@@ -237,6 +237,19 @@ def test_subalgebras_command(capsys):
     assert "8 subuniverses" in out
 
 
+def test_proper_drops_only_the_full_universe_and_include_empty_adds_the_empty_one(capsys):
+    def universes(*flags):
+        code, report = run_json(capsys, "subalgebras", "--algebra", "crystal", *flags)
+        assert code == 0
+        return report["data"]["universes"]
+
+    every = universes("--include-empty")
+    assert len(every) == 10 and every[0] == [] and len(every[-1]) == 6
+    assert universes("--proper", "--include-empty") == every[:-1]
+    assert universes("--proper") == every[1:-1]
+    assert universes() == every[1:]
+
+
 def test_congruences_command(capsys):
     code, out, _ = run_cli(capsys, "congruences", "--algebra", "crystal")
     assert code == 0
@@ -447,6 +460,20 @@ def test_algebra_path_naming_a_directory_is_usage_error(capsys, tmp_path):
     assert report["data"]["error"] == "DataFileMissing"
 
 
+def test_unreadable_algebra_file_is_usage_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "locked.alg"
+    path.write_text("algebra locked\n")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    code, report = run_json(capsys, "validate", "--algebra", str(path))
+    assert code == 2
+    assert report["data"]["error"] == "DataFileMissing"
+    assert "Permission denied" in report["data"]["message"]
+
+
 def test_algebra_file_not_utf8_is_usage_error(capsys, tmp_path):
     path = tmp_path / "latin1.alg"
     path.write_bytes("algebra caf\xe9\nelements 0 1\n".encode("latin-1"))
@@ -619,6 +646,22 @@ def test_importing_the_cli_does_not_import_numpy():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (["subalgebras"], 0),
+    (["--format", "json", "reproduce", "--instances", "5"], 0),
+    (["entails", "--conclusion", "p"], 1),
+], ids=["subalgebras", "reproduce", "entails-fails"])
+def test_a_closed_pipe_keeps_the_exit_code_and_writes_no_traceback(args, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        result = subprocess.run([sys.executable, "-m", "relog", *args], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (code, "")
 
 
 def test_module_entry_point_subprocess():

@@ -1,11 +1,12 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from itertools import product
 
 import pytest
 
 from relog.algebra import (
-    FiniteAlgebra,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
@@ -52,6 +53,7 @@ from tests_oracle_helper import (
     brute_force_vectors,
     closure_state,
     reference_interpolant_masks,
+    renamed,
 )
 
 C = builtin_crystal()
@@ -203,19 +205,25 @@ def test_grown_free_algebra_holds_only_its_elements():
     assert peak < 2 * 2**20
 
 
-def test_shared_free_algebra_cache_is_bounded():
-    _shared_free_algebra.cache_clear()
-    bases = [
-        FiniteAlgebra(f"b{i}", (f"x{i}", f"y{i}"), B2.meet, B2.join, B2.fusion, B2.neg)
-        for i in range(17)
-    ]
+def test_shared_free_algebra_lives_on_its_base():
+    bases = [renamed(B2, f"b{i}") for i in range(17)]
     cold = [_shared_free_algebra(base, 1, DEFAULT_FREE_ELEMENT_CAP) for base in bases]
-    assert _shared_free_algebra.cache_info().currsize == 16
-    assert _shared_free_algebra(bases[-1], 1, DEFAULT_FREE_ELEMENT_CAP) is cold[-1]
-    assert _shared_free_algebra(bases[0], 1, DEFAULT_FREE_ELEMENT_CAP) is not cold[0]
+    assert len(set(map(id, cold))) == len(bases)
+    assert all(_shared_free_algebra(base, 1, DEFAULT_FREE_ELEMENT_CAP) is fa
+               for base, fa in zip(bases, cold))
     with pytest.raises(CapExceeded):
         _shared_free_algebra(C, 4, DEFAULT_FREE_ELEMENT_CAP)
-    assert _shared_free_algebra.cache_info().currsize == 16
+    released = weakref.ref(cold.pop())
+    del bases[-1]
+    gc.collect()
+    assert released() is None
+
+
+def test_equal_tables_under_another_name_share_no_free_algebra():
+    gamma, alpha = [parse_formula("q * ~q")], parse_formula("~(q * ~q) -> (q * ~q)")
+    for algebra in (C, renamed(C, "other")):
+        with pytest.raises(CapExceeded, match=f"free algebra over {algebra.name} on 1 "):
+            maehara_interpolant([], gamma, alpha, [algebra], element_cap=2)
 
 
 def test_interpolant_caps_hold_on_a_warm_cache():

@@ -43,6 +43,7 @@ from tests_oracle_helper import (
     powerset_subuniverses,
     reference_simple_and_fsi,
     reference_subuniverses,
+    renamed,
 )
 
 C = builtin_crystal()
@@ -116,6 +117,24 @@ def test_boolean2_has_no_proper_nonempty_subuniverse():
 def test_every_subuniverse_is_closed():
     for s in all_subuniverses(C):
         assert is_closed(C, s)
+
+
+def test_closure_tables_are_built_once_per_algebra():
+    """Kept as long as their algebra, however many algebras are closed in
+    between, and built anew for another algebra object, even an equal one."""
+    crystal = renamed(C, "crystal")
+    assert all_subuniverses(crystal) == all_subuniverses(C)
+    tables, rows = subcon._closure_tables(crystal), subcon._congruence_rows(crystal)
+    square = power(C, 2)
+    others = [subalgebra(square, s)
+              for s in all_subuniverses(square, cap=square.size) if len(s) > 1][:17]
+    for other in others:
+        all_subuniverses(other)
+        congruence_lattice(other)
+    assert len(others) == 17
+    assert subcon._closure_tables(crystal) is tables
+    assert subcon._congruence_rows(crystal) is rows
+    assert subcon._closure_tables(renamed(C, "crystal")) is not tables
 
 
 def test_subuniverse_cap():

@@ -34,6 +34,14 @@ from relog.subcon import (
     identity_congruence,
 )
 
+
+def renamed(algebra, name):
+    """A new algebra with the tables of `algebra` under another name: equal to
+    it, and with none of its derived tables built yet."""
+    return FiniteAlgebra(name, algebra.elements, algebra.meet, algebra.join,
+                         algebra.fusion, algebra.neg)
+
+
 _B2 = builtin_boolean2()
 _B2_SQUARE = power(_B2, 2)
 
