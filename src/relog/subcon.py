@@ -9,14 +9,15 @@ translations of a pair are compared at once by translating two rows built
 once per algebra through the labels.  One closure serves principal
 congruences, joins and the whole lattice, on at most 256 elements.  The
 congruence lattice is the join-closure of the principal congruences of
-covering pairs: on a lattice-based algebra these generate every congruence.
-A table that fails a lattice law, found from down-set and up-set bitmasks
-in O(n²), falls back to all pairs as generators.  Simplicity and finite
-subdirect irreducibility are read off these generators alone, without the
-lattice.  Subuniverses are bitmasks
-over the elements and grow from already-closed bases by one one-generated
-subuniverse at a time; a new element is combined with all members by one
-lookup per byte of the member mask, in tables built once per algebra.
+covering pairs: on a lattice-based algebra these generate every congruence,
+and perspective covers generate the same one, so one cover is closed per
+perspectivity class.  A table that fails a lattice law, found from down-set
+and up-set bitmasks in O(n²), falls back to all pairs as generators.
+Simplicity and finite subdirect irreducibility are read off these generators
+alone, without the lattice.  Subuniverses are bitmasks over the elements,
+enumerated by Close-by-One over the one-generated subuniverses, so each is
+kept from exactly one closure; a new element is combined with all members by
+one lookup per byte of the member mask, in tables built once per algebra.
 Everything here is exhaustive: the results are exact, not sampled.
 """
 
@@ -242,14 +243,50 @@ def _lattice_covers(algebra):
     return covers
 
 
+def _perspective_representatives(algebra, covers):
+    """The first cover, in the order of `covers`, of each class of covers
+    under perspectivity.
+
+    Covers (a, b) and (c, d) are perspective when b∧c = a and b∨c = d.  Then
+    a congruence θ that relates a and b relates a∨c = c and b∨c = d, and one
+    that relates c and d relates c∧b = a and d∧b = b: in any lattice, both
+    covers generate the same principal congruence.  The classes are those of
+    a union-find over covers whose roots are the least index of their class.
+    """
+    meet, join = algebra.meet, algebra.join
+    index = {pair: i for i, pair in enumerate(covers)}
+    parent = list(range(len(covers)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, (a, b) in enumerate(covers):
+        above, joins = meet[b], join[b]
+        for c, low in enumerate(above):
+            if low == a:
+                j = index.get((c, joins[c]))
+                if j is not None:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+    return [pair for i, pair in enumerate(covers) if find(i) == i]
+
+
 def _principal_seeds(algebra):
     """The label tables of the principal congruences of covering pairs, each
-    with one pair that generates it; of all pairs when meet and join are not a
-    lattice.  Every congruence but the identity contains one of them."""
+    with the first cover that generates it; of all pairs when meet and join
+    are not a lattice.  Every congruence but the identity contains one of
+    them.  Perspective covers generate one congruence, so only the first
+    cover of each perspectivity class is closed."""
     rows = _congruence_rows(algebra)
-    pairs = _lattice_covers(algebra)
-    if pairs is None:
+    covers = _lattice_covers(algebra)
+    if covers is None:
         pairs = combinations(range(algebra.size), 2)
+    else:
+        pairs = _perspective_representatives(algebra, covers)
     seeds = {}
     for pair in pairs:
         seeds.setdefault(_close(rows, _IDENTITY_LABELS, (pair,)), pair)
@@ -263,8 +300,9 @@ def congruence_lattice(algebra):
     lattice x θ y iff (x∧y) θ (x∨y), and an interval collapses iff every cover
     on one maximal chain in it collapses, so every congruence is the join of the
     covering pairs it relates.  A table that fails one of LATTICE_AXIOMS has no
-    such order, and all pairs are the generators.  Generators are deduplicated
-    by their label tables, keeping one seed pair each, and each label table
+    such order, and all pairs are the generators.  Only one cover of each
+    perspectivity class is closed, and the generators are deduplicated by
+    their label tables, keeping one seed pair each.  Each label table
     found is closed with every seed pair it does not yet relate.  The tables
     become Congruence objects once, at the end.
     """
@@ -380,9 +418,18 @@ def _grow(tables, members, pending):
 
 @derived
 def _one_generated(algebra):
-    """The distinct one-generated subuniverses <x>, as masks, by least generator."""
+    """The distinct one-generated subuniverses s_i = <g_i>, as masks, ordered
+    by their least generators g_0 < g_1 < ...; each paired with `below`, the
+    bits of g_0 ... g_(i-1)."""
     tables = _closure_tables(algebra)
-    return tuple(dict.fromkeys(_grow(tables, 1 << x, 1 << x) for x in range(algebra.size)))
+    firsts = {}
+    for x in range(algebra.size):
+        firsts.setdefault(_grow(tables, 1 << x, 1 << x), 1 << x)
+    seeds, below = [], 0
+    for seed, bit in firsts.items():
+        seeds.append((seed, below))
+        below |= bit
+    return tuple(seeds)
 
 
 def _members(mask):
@@ -393,13 +440,21 @@ def _members(mask):
 def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERSE_CAP):
     """Every subuniverse, found by closure growth rather than powerset filtering.
 
-    Subuniverses are held as bitmasks over the elements.  Starting from the
-    empty set, each found subuniverse B is extended by each distinct
-    one-generated subuniverse <x> outside it and closed: <B ∪ {x}> is
-    <B ∪ <x>>, so this reaches every subuniverse, and only the elements of
-    <x> not in B are combined, never the base's own pairs, by lookups in
-    tables built once per algebra.  The masks become member tuples once, at
-    the end, and are canonically sorted by (size, members).
+    Subuniverses are bitmasks over the elements, enumerated by Close-by-One
+    with the inherited test of FCbO (Outrata and Vychodil, "Fast algorithm
+    for computing fixpoints of Galois connections induced by object-attribute
+    relational data", Information Sciences 185, 2012) over the one-generated
+    subuniverses s_i = <g_i>, ordered by their least generators.  A
+    subuniverse B is the closure of the generators it holds, and s_i lies in
+    B iff g_i does.  B, reached through s_j, is extended by each s_i with
+    i > j that is not in it, to D = <B ∪ s_i>, and D is kept only when no g_l
+    with l < i lies in D but not in B: the one canonical way to reach D.  So
+    each subuniverse is appended exactly once.  No closure is taken when the
+    union, or a closure <A ∪ s_i> taken at an ancestor A of B, already holds
+    such a g_l, since D contains both.  Only the elements of s_i not in B are
+    combined, never the base's own pairs, by lookups in tables built once per
+    algebra.  The masks become member tuples once, at the end, and are
+    canonically sorted by (size, members).
     """
     if algebra.size > cap:
         raise SizeCapExceeded(
@@ -408,18 +463,23 @@ def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERS
         )
     tables = _closure_tables(algebra)
     seeds = _one_generated(algebra)
-    found = {0}
-    frontier = [0]
-    while frontier:
-        base = frontier.pop()
-        for seed in seeds:
-            union = base | seed
-            if union != base:
-                grown = _grow(tables, union, union ^ base)
-                if grown not in found:
-                    found.add(grown)
-                    frontier.append(grown)
-    result = sorted(map(_members, found), key=lambda s: (len(s), s))
+    universes = [0]
+    # a universe B, the first seed that may extend it, and per seed i a
+    # closure <A ∪ s_i> for some A ⊆ B: one that holds a g_l, l < i, outside B
+    # shows <B ∪ s_i> is not canonical without closing it
+    stack = [(0, 0, (0,) * len(seeds))]
+    while stack:
+        base, start, known = stack.pop()
+        closures = list(known)
+        for i in range(start, len(seeds)):
+            seed, below = seeds[i]
+            fresh = seed & ~base
+            if fresh and not (fresh | known[i] & ~base) & below:
+                grown = closures[i] = _grow(tables, base | seed, fresh)
+                if not (grown ^ base) & below:
+                    universes.append(grown)
+                    stack.append((grown, i + 1, closures))
+    result = sorted(map(_members, universes), key=lambda s: (len(s), s))
     if proper_nonempty_only:
         full = tuple(range(algebra.size))
         result = [s for s in result if s and s != full]
@@ -456,14 +516,13 @@ def check_cep_pair(algebra, members, big_lattice=None):
     inner_lattice = congruence_lattice(inner)
     if big_lattice is None:
         big_lattice = congruence_lattice(algebra)
+    # each restriction once, kept with the first phi in big_lattice order
+    extensions = {}
+    for phi in big_lattice:
+        extensions.setdefault(phi.restrict(members), phi)
     witnesses = []
     for theta in inner_lattice:
-        target = theta.blocks  # blocks over positions in `members`
-        extension = None
-        for phi in big_lattice:
-            if phi.restrict(members) == target:
-                extension = phi
-                break
+        extension = extensions.get(theta.blocks)  # blocks over positions in `members`
         witnesses.append(
             CepWitness(algebra, members, theta, extension is not None, extension)
         )

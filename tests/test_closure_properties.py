@@ -7,7 +7,7 @@ their oracles; and the file format's round trip on products."""
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product as product_of
 from unittest.mock import patch
 
 import pytest
@@ -68,6 +68,7 @@ from tests_oracle_helper import (
     brute_force_principal_congruences,
     closure_state,
     is_compatible,
+    lattice_tables_from_covers,
     powerset_subuniverses,
     reference_generated_subuniverse,
     reference_interpolant_masks,
@@ -214,16 +215,75 @@ def test_lattice_check_matches_the_checklist(algebra):
         ]
 
 
-def formulas(names):
-    """Formulas over the variables `names` with at most four leaves."""
-    def extend(inner):
-        return st.one_of(
-            inner.map(Not),
-            st.builds(lambda ctor, left, right: ctor(left, right),
-                      st.sampled_from((And, Or, Fuse)), inner, inner),
-        )
+# Hasse diagrams on range(n), bottom 0 and top n - 1: the pentagon N5 (not
+# modular), the diamond M3 (modular, not distributive), a 4-chain and the
+# 2 x 3 grid.
+LATTICE_SHAPES = {
+    "N5": (5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
+    "M3": (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    "chain4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "grid2x3": (6, [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5)]),
+}
 
-    return st.recursive(st.sampled_from(names).map(Var), extend, max_leaves=4)
+
+@st.composite
+def shaped_lattices(draw):
+    """A lattice of LATTICE_SHAPES whose fusion is its meet, its join or a
+    random table, and whose neg is the identity or a random map."""
+    n, covers = LATTICE_SHAPES[draw(st.sampled_from(sorted(LATTICE_SHAPES)))]
+    meet, join = lattice_tables_from_covers(n, covers)
+    entry = st.integers(0, n - 1)
+    fusion = draw(st.sampled_from((meet, join, None)))
+    if fusion is None:
+        fusion = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+    neg = draw(st.one_of(st.just(list(range(n))), st.lists(entry, min_size=n, max_size=n)))
+    return FiniteAlgebra("shaped", [f"e{i}" for i in range(n)], meet, join, fusion, neg)
+
+
+def lattice_algebras():
+    """A builtin or a subalgebra or HS member of one, a shaped lattice, or a
+    product of two of these with at most 25 elements."""
+    one = st.one_of(st.sampled_from(_lattice_bases()), shaped_lattices())
+    pairs = st.tuples(one, one).filter(lambda p: p[0].size * p[1].size <= 25).map(product)
+    return st.one_of(one, pairs)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(lattice_algebras())
+@example(power(builtin_crystal(), 2))  # 72 covers in 8 perspectivity classes
+def test_congruence_engine_matches_its_oracles_on_lattices(algebra):
+    """One closed cover per perspectivity class gives the label table, and the
+    first cover, of every cover's principal congruence; the lattice, simple
+    and FSI match the all-pairs oracle."""
+    covers = subcon._lattice_covers(algebra)
+    assert covers is not None
+    rows = subcon._congruence_rows(algebra)
+    every_cover = {}
+    for pair in covers:
+        every_cover.setdefault(subcon._close(rows, subcon._IDENTITY_LABELS, (pair,)), pair)
+    assert subcon._principal_seeds(algebra) == every_cover
+    reference = brute_force_congruence_lattice(algebra)
+    assert congruence_lattice(algebra) == reference
+    assert (is_simple(algebra), is_fsi(algebra)) == reference_simple_and_fsi(reference)
+
+
+def formulas(names):
+    """Formulas over the variables `names` with at most four leaves.  Half
+    are a binary connective over two different formulas of at most two
+    leaves: a formula drawn as it comes is mostly a variable or a negation,
+    and a table seen only at equal arguments hides its argument order."""
+    def binary(inner):
+        return st.builds(lambda ctor, left, right: ctor(left, right),
+                         st.sampled_from((And, Or, Fuse)), inner, inner)
+
+    def extend(inner):
+        return st.one_of(inner.map(Not), binary(inner))
+
+    def trees(leaves):
+        return st.recursive(st.sampled_from(names).map(Var), extend, max_leaves=leaves)
+
+    return st.one_of(trees(4), binary(trees(2)).filter(lambda f: f.left != f.right))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -262,25 +322,54 @@ def test_interpolation_matches_its_oracles_on_random_tables(algebra, sigma, gamm
     assert verify_interpolant(sigma, gamma, alpha, result.delta, [algebra]).ok
 
 
+def lane_countermodels(algebra, premises, conclusion):
+    """Every valuation that designates each premise and not the conclusion,
+    in lexicographic order, read off one lane of `algebra.lanes` per
+    subformula over the whole grid."""
+    formulas = premises + [conclusion]
+    variables = sorted(set().union(*[f.variables() for f in formulas]))
+    lanes = algebra.lanes
+    steps, (*premise_slots, goal) = logic._lane_program(variables, formulas)
+    values = lanes.grid(len(variables))
+    for op, left, right in steps:
+        values.append(lanes.neg(values[left]) if op is None
+                      else lanes.apply(op, values[left], values[right]))
+    bad = lanes.mask(values[goal], False)
+    for slot in premise_slots:
+        bad &= lanes.mask(values[slot], True)
+    grid = product_of(range(algebra.size), repeat=len(variables))
+    hits = bad.to_bytes(algebra.size ** len(variables), "big")
+    return [dict(zip(variables, point)) for point, hit in zip(grid, hits) if hit]
+
+
 def assert_entails_matches_the_sweep_oracle(algebras, premises, conclusion,
                                            chunks=(logic._LANE_BYTES,)):
     """Under each lane length in `chunks`, the verdict of `entails`, and its
     countermodel's algebra and valuation, are those of the first algebra
-    whose listed grid has a designating valuation, and its first one."""
+    whose listed grid has a designating valuation, and its first one.  The
+    lanes of every algebra also find the oracle's whole list of designating
+    valuations, not only the first, which is often the all-zeros point where
+    every binary table sees equal arguments."""
+    premises = list(premises)
     verdicts = []
     for chunk in chunks:
         with patch.object(logic, "_LANE_BYTES", chunk):
             verdicts.append(entails(algebras, premises, conclusion))
+    first = None
     for algebra in algebras:
         found = brute_force_designating_valuations(algebra, premises, conclusion)
-        if found:
-            for verdict in verdicts:
-                model = verdict.countermodel
-                assert not verdict.holds
-                assert model.algebra is algebra and model.valuation == found[0]
-                assert verify_countermodel(algebra, model.valuation, premises, conclusion)
-            return
-    assert all(verdict.holds for verdict in verdicts)
+        assert lane_countermodels(algebra, premises, conclusion) == found, algebra.name
+        if found and first is None:
+            first = algebra, found[0]
+    if first is None:
+        assert all(verdict.holds for verdict in verdicts)
+        return
+    algebra, valuation = first
+    for verdict in verdicts:
+        model = verdict.countermodel
+        assert not verdict.holds
+        assert model.algebra is algebra and model.valuation == valuation
+        assert verify_countermodel(algebra, model.valuation, premises, conclusion)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -97,12 +97,29 @@ def test_all_subuniverses_matches_powerset_oracle(algebra):
      (direct_product([LEFT_BLIND_MEET, SKEW_MEET, IMPLICATION_FUSION]), 46)],
     ids=["crystal^2", "boolean2^5", "belnap-m^2", "left-blind.skew.implication"],
 )
-def test_all_subuniverses_of_products_match_the_reference(algebra, universes):
+def test_all_subuniverses_of_products_match_the_reference(monkeypatch, algebra, universes):
     """Products of 24 to 64 elements, member masks of three to eight bytes;
-    the last product's tables are not commutative."""
+    the last product's tables are not commutative.  Close-by-One appends each
+    universe once: each becomes a member tuple once, at the end, so as many
+    tuples are made as there are universes, all of them distinct."""
+    made = []
+    real = subcon._members
+    monkeypatch.setattr(subcon, "_members", lambda mask: made.append(mask) or real(mask))
     found = all_subuniverses(algebra, cap=algebra.size)
     assert len(found) == universes
+    assert len(made) == len(set(made)) == universes
     assert found == reference_subuniverses(algebra)
+
+
+def test_close_by_one_closes_crystal_square_213_times(monkeypatch):
+    """36 closures of the one-generated <x>, then 177 for the 93 nonempty
+    universes: the union and the inherited closures rule out the other
+    non-canonical extensions without closing them."""
+    calls = []
+    real = subcon._grow
+    monkeypatch.setattr(subcon, "_grow", lambda *args: calls.append(args) or real(*args))
+    assert len(all_subuniverses(power(C, 2), cap=36)) == 94
+    assert len(calls) == 36 + 177
 
 
 def test_crystal_proper_universes_are_the_known_eight():
@@ -271,8 +288,9 @@ def _count_seed_closures(monkeypatch, algebra):
 
 
 def test_congruence_lattice_of_crystal_square_uses_covering_pairs(monkeypatch):
-    # crystal has 6 covers, so crystal^2 has 6 * 6 * 2 = 72; it has 630 pairs
-    assert _count_seed_closures(monkeypatch, power(C, 2)) <= 72
+    # crystal has 6 covers, so crystal^2 has 6 * 6 * 2 = 72 (of 630 pairs);
+    # perspectivity puts them in 8 classes, one closure each
+    assert _count_seed_closures(monkeypatch, power(C, 2)) == 8
 
 
 def test_congruence_lattice_falls_back_to_all_pairs_off_a_lattice(monkeypatch):
