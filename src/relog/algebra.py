@@ -591,9 +591,20 @@ def quotient(algebra, congruence):
     return FiniteAlgebra(f"{algebra.name}%{m}", names, meet, join, fusion, neg)
 
 
+def _check_indices(algebra, indices):
+    """Raise UnknownElement for the first index outside range(algebra.size)."""
+    for x in indices:
+        if not 0 <= x < algebra.size:
+            raise UnknownElement(f"{x!r} is not an element index of {algebra.name!r}")
+
+
 def subalgebra(algebra, members):
-    """The algebra induced on a closed subset of elements (indices)."""
+    """The algebra induced on a closed subset of elements (indices).
+
+    An index outside range(algebra.size), negative ones included, raises
+    UnknownElement, as does a subset that is not closed."""
     members = tuple(sorted(members))
+    _check_indices(algebra, members)
     pos = {x: i for i, x in enumerate(members)}
     for x in members:
         if algebra.neg[x] not in pos:

@@ -12,21 +12,28 @@ congruence lattice is the join-closure of the principal congruences of
 covering pairs: on a lattice-based algebra these generate every congruence,
 and perspective covers generate the same one, so one cover is closed per
 perspectivity class.  A table that fails a lattice law, found from down-set
-and up-set bitmasks in O(n²), falls back to all pairs as generators.
-Simplicity and finite subdirect irreducibility are read off these generators
-alone, without the lattice.  Subuniverses are bitmasks over the elements,
-enumerated by Close-by-One over the one-generated subuniverses, so each is
-kept from exactly one closure; a new element is combined with all members by
-one lookup per byte of the member mask, in tables built once per algebra.
+and up-set bitmasks in O(n²), falls back to all pairs as generators.  The
+same loop closes the congruences of a closed subset S: its rows are the
+algebra's with only the positions in S, and its covers come from the same
+bitmasks restricted to S, so the CEP and HS checks build no subalgebra to
+read Con(S).  Simplicity and finite subdirect irreducibility are read off
+these generators alone, without the lattice.  Subuniverses are bitmasks over
+the elements, enumerated by Close-by-One over the one-generated
+subuniverses, so each is kept from exactly one closure; a new element is
+combined with all members by one lookup per byte of the member mask, in
+tables built once per algebra.
 Everything here is exhaustive: the results are exact, not sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
+from operator import itemgetter
 
-from .algebra import FiniteAlgebra, _partition_blocks, derived, quotient, subalgebra
+from .algebra import (FiniteAlgebra, _check_indices, _partition_blocks, derived, quotient,
+                      subalgebra)
 from .errors import SizeCapExceeded, UnknownElement
 
 DEFAULT_SUBUNIVERSE_CAP = 24
@@ -68,11 +75,8 @@ class Congruence:
 
     def restrict(self, members):
         """Partition induced on a subset, as blocks of positions into `members`."""
-        members = tuple(sorted(members))
-        groups = {}
-        for pos, x in enumerate(members):
-            groups.setdefault(self.block_of[x], []).append(pos)
-        return tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
+        block_of = self.block_of
+        return _blocks([block_of[x] for x in sorted(members)])
 
     def block_names(self):
         return [list(self.algebra.names(block)) for block in self.blocks]
@@ -176,10 +180,35 @@ def _labels(theta):
 
 def _congruence(algebra, labels):
     """The Congruence whose blocks share a label in `labels`."""
-    blocks = {}
-    for x in range(algebra.size):
-        blocks.setdefault(labels[x], []).append(x)
-    return Congruence(algebra, blocks.values(), check=False)
+    return Congruence(algebra, _blocks(labels[:algebra.size]), check=False)
+
+
+def _carrier(algebra, members=None):
+    """(members, mask, rows) of a closed subset S, all of `algebra` by
+    default: its elements in increasing order, its bitmask, and the rows of
+    `_congruence_rows` keyed by element with only the positions y in S of
+    each translation table, and neg.  They are S's rows in the subalgebra
+    on S, in the ids of `algebra`.  An index out of range raises
+    UnknownElement before any row is read, as does a subset whose rows
+    leave it, which is not closed."""
+    rows = _congruence_rows(algebra)
+    n = algebra.size
+    if members is None:
+        return range(n), (1 << n) - 1, rows
+    mask = _mask(algebra, members)
+    members = _members(mask)
+    if len(members) == n:
+        return members, mask, rows
+    width = len(rows[0]) - 1
+    take = itemgetter(*[side + y for side in range(0, width, n) for y in members], width)
+    inside = bytes(members)
+    sliced = {}
+    for x in members:
+        row = sliced[x] = bytes(take(rows[x]))
+        if row.translate(None, inside):
+            raise UnknownElement(f"subset not closed at a product or negation of "
+                                 f"{algebra.elements[x]}")
+    return members, mask, sliced
 
 
 def congruence_from_pairs(algebra, pairs):
@@ -189,9 +218,7 @@ def congruence_from_pairs(algebra, pairs):
     algebra of more than 256 elements SizeCapExceeded.
     """
     pairs = list(pairs)
-    for x in chain.from_iterable(pairs):
-        if not 0 <= x < algebra.size:
-            raise UnknownElement(f"{x!r} is not an element index of {algebra.name!r}")
+    _check_indices(algebra, chain.from_iterable(pairs))
     rows = _congruence_rows(algebra)
     return _congruence(algebra, _close(rows, _IDENTITY_LABELS, pairs))
 
@@ -209,51 +236,75 @@ def congruence_join(theta, phi):
 
 
 @derived
+def _order_masks(algebra):
+    """Down-sets D[y] and up-sets U[x] of x <= y iff x meet y = x, as
+    bitmasks, and each up-set as a list in increasing order."""
+    n = algebra.size
+    down = [0] * n
+    up = [0] * n
+    above = [[] for _ in range(n)]
+    for x, row in enumerate(algebra.meet):
+        for y, low in enumerate(row):
+            if low == x:
+                down[y] |= 1 << x
+                up[x] |= 1 << y
+                above[x].append(y)
+    return down, up, above
+
+
+@derived
 def _lattice_covers(algebra):
     """The pairs (x, y) with y covering x in the order of meet and join, or
     None when the two tables do not form a lattice.
 
-    With x <= y iff x meet y = x, and down-sets D[y] and up-sets U[x] of that
-    relation as bitmasks, the tables form a lattice iff D[x] & U[x] = {x},
-    so the relation is reflexive and antisymmetric, D[x meet y] = D[x] & D[y]
-    and U[x join y] = U[x] & U[y]: the relation is then transitive, and meet
-    and join are its greatest lower and least upper bounds (Davey and
-    Priestley, Introduction to Lattices and Order, Thm 2.10).  This decides
-    LATTICE_AXIOMS with O(n²) mask operations.  y covers x when x and y are
-    all of U[x] & D[y].
+    With the down-sets D and up-sets U of `_order_masks`, the tables form a
+    lattice iff D[x] & U[x] = {x}, so the relation is reflexive and
+    antisymmetric, D[x meet y] = D[x] & D[y] and U[x join y] = U[x] & U[y]:
+    the relation is then transitive, and meet and join are its greatest
+    lower and least upper bounds (Davey and Priestley, Introduction to
+    Lattices and Order, Thm 2.10).  This decides LATTICE_AXIOMS with O(n²)
+    mask operations.
     """
     n = algebra.size
     meet, join = algebra.meet, algebra.join
-    down = [0] * n
-    up = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if meet[x][y] == x:
-                down[y] |= 1 << x
-                up[x] |= 1 << y
+    down, up, _ = _order_masks(algebra)
     if any(down[x] & up[x] != 1 << x for x in range(n)):
         return None
-    covers = []
     for x in range(n):
         for y in range(n):
             if down[meet[x][y]] != down[x] & down[y] or up[join[x][y]] != up[x] & up[y]:
                 return None
-            if x != y and up[x] & down[y] == 1 << x | 1 << y:
+    return _covers(algebra, range(n), (1 << n) - 1)
+
+
+def _covers(algebra, members, mask):
+    """The covering pairs (x, y) of the order restricted to the elements of
+    `mask`, by x and then y: y covers x when x and y are all of
+    U[x] & D[y] within the mask."""
+    down, up, above = _order_masks(algebra)
+    covers = []
+    for x in members:
+        between = up[x] & mask
+        for y in above[x]:
+            if y != x and between & down[y] == 1 << x | 1 << y:
                 covers.append((x, y))
     return covers
 
 
 def _perspective_representatives(algebra, covers):
     """The first cover, in the order of `covers`, of each class of covers
-    under perspectivity.
+    under perspectivity, in the sublattice whose covers `covers` lists.
 
     Covers (a, b) and (c, d) are perspective when b∧c = a and b∨c = d.  Then
     a congruence θ that relates a and b relates a∨c = c and b∨c = d, and one
     that relates c and d relates c∧b = a and d∧b = b: in any lattice, both
-    covers generate the same principal congruence.  The classes are those of
-    a union-find over covers whose roots are the least index of their class.
+    covers generate the same principal congruence.  Since b∧c = a puts c
+    above a, only the up-set of a is scanned, in the whole algebra: a c
+    outside the sublattice starts no cover of it.  The classes are those of a
+    union-find over covers whose roots are the least index of their class.
     """
     meet, join = algebra.meet, algebra.join
+    above = _order_masks(algebra)[2]
     index = {pair: i for i, pair in enumerate(covers)}
     parent = list(range(len(covers)))
 
@@ -264,28 +315,35 @@ def _perspective_representatives(algebra, covers):
         return i
 
     for i, (a, b) in enumerate(covers):
-        above, joins = meet[b], join[b]
-        for c, low in enumerate(above):
-            if low == a:
-                j = index.get((c, joins[c]))
+        lows, highs = meet[b], join[b]
+        root = find(i)
+        for c in above[a]:
+            if lows[c] == a:
+                j = index.get((c, highs[c]))
                 if j is not None:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
+                    other = find(j)
+                    if other < root:
+                        parent[root] = root = other
+                    elif other > root:
+                        parent[other] = root
     return [pair for i, pair in enumerate(covers) if find(i) == i]
 
 
-def _principal_seeds(algebra):
+def _principal_seeds(algebra, carrier=None):
     """The label tables of the principal congruences of covering pairs, each
     with the first cover that generates it; of all pairs when meet and join
     are not a lattice.  Every congruence but the identity contains one of
     them.  Perspective covers generate one congruence, so only the first
-    cover of each perspectivity class is closed."""
-    rows = _congruence_rows(algebra)
+    cover of each perspectivity class is closed.  The covers are those of
+    the `_carrier` S, all of `algebra` by default: a closed subset of a
+    lattice is a sublattice, whose order is the restricted one."""
+    members, mask, rows = carrier or _carrier(algebra)
     covers = _lattice_covers(algebra)
     if covers is None:
-        pairs = combinations(range(algebra.size), 2)
+        pairs = combinations(members, 2)
     else:
+        if len(members) < algebra.size:
+            covers = _covers(algebra, members, mask)
         pairs = _perspective_representatives(algebra, covers)
     seeds = {}
     for pair in pairs:
@@ -293,26 +351,20 @@ def _principal_seeds(algebra):
     return seeds
 
 
-def congruence_lattice(algebra):
-    """All congruences, as joins of principal congruences; includes identity and full.
-
-    The generators are the principal congruences of covering pairs.  On a
-    lattice x θ y iff (x∧y) θ (x∨y), and an interval collapses iff every cover
-    on one maximal chain in it collapses, so every congruence is the join of the
-    covering pairs it relates.  A table that fails one of LATTICE_AXIOMS has no
-    such order, and all pairs are the generators.  Only one cover of each
-    perspectivity class is closed, and the generators are deduplicated by
-    their label tables, keeping one seed pair each.  Each label table
-    found is closed with every seed pair it does not yet relate.  The tables
-    become Congruence objects once, at the end.
-    """
-    if algebra.size > DEFAULT_CONGRUENCE_CAP:
+def _congruence_blocks(algebra, members=None):
+    """(members, lattice): the `_carrier` members of a closed subset S, and
+    every congruence of the subalgebra on S in the order of its
+    `congruence_lattice`, as blocks of positions into them.  No subalgebra
+    is built: each label table found is closed on S's rows with every seed
+    pair it does not yet relate.  Past DEFAULT_CONGRUENCE_CAP members, or
+    256 elements of `algebra`, SizeCapExceeded."""
+    carrier = members, _, rows = _carrier(algebra, members)
+    if len(members) > DEFAULT_CONGRUENCE_CAP:
         raise SizeCapExceeded(
-            f"congruence lattice of {algebra.name} ({algebra.size} elements) "
-            f"exceeds cap {DEFAULT_CONGRUENCE_CAP}"
+            f"congruence lattice of {algebra.name}[{'+'.join(algebra.names(members))}] "
+            f"({len(members)} elements) exceeds cap {DEFAULT_CONGRUENCE_CAP}"
         )
-    rows = _congruence_rows(algebra)
-    seeds = _principal_seeds(algebra)
+    seeds = _principal_seeds(algebra, carrier)
     found = {_IDENTITY_LABELS, *seeds}
     frontier = list(seeds)
     while frontier:
@@ -325,9 +377,40 @@ def congruence_lattice(algebra):
                         found.add(joined)
                         new.append(joined)
         frontier = new
-    lattice = [_congruence(algebra, labels) for labels in found]
-    # finest first: identity congruence leads, full congruence closes the list
-    return sorted(lattice, key=lambda c: (-len(c.blocks), c.block_of))
+    # A label is the least member of its block, so S's labels in order
+    # compare as the block_of tuples do: finest first, then by block_of.
+    lattice = sorted((bytes(labels[x] for x in members) for labels in found),
+                     key=lambda labels: (-len(set(labels)), labels))
+    return members, [_blocks(labels) for labels in lattice]
+
+
+def _blocks(labels):
+    """The blocks of positions that share a label, ordered by least position."""
+    blocks = {}
+    for pos, label in enumerate(labels):
+        blocks.setdefault(label, []).append(pos)
+    return tuple(map(tuple, blocks.values()))
+
+
+def congruence_lattice(algebra):
+    """All congruences, as joins of principal congruences; includes identity and full.
+
+    The generators are the principal congruences of covering pairs.  On a
+    lattice x θ y iff (x∧y) θ (x∨y), and an interval collapses iff every cover
+    on one maximal chain in it collapses, so every congruence is the join of the
+    covering pairs it relates.  A table that fails one of LATTICE_AXIOMS has no
+    such order, and all pairs are the generators.  Only one cover of each
+    perspectivity class is closed, and the generators are deduplicated by
+    their label tables, keeping one seed pair each.  This is
+    `_congruence_blocks` on all the elements.
+    """
+    if algebra.size > DEFAULT_CONGRUENCE_CAP:
+        raise SizeCapExceeded(
+            f"congruence lattice of {algebra.name} ({algebra.size} elements) "
+            f"exceeds cap {DEFAULT_CONGRUENCE_CAP}"
+        )
+    return [Congruence(algebra, blocks, check=False)
+            for blocks in _congruence_blocks(algebra)[1]]
 
 
 def is_simple(algebra):
@@ -361,11 +444,7 @@ def generated_subuniverse(algebra, seed):
     The signature has no constants, so the empty seed closes to the empty set.
     A seed element outside range(algebra.size) raises UnknownElement.
     """
-    mask = 0
-    for x in seed:
-        if not 0 <= x < algebra.size:
-            raise UnknownElement(f"{x!r} is not an element index of {algebra.name!r}")
-        mask |= 1 << x
+    mask = _mask(algebra, seed)
     return _members(_grow(_closure_tables(algebra), mask, mask))
 
 
@@ -432,6 +511,13 @@ def _one_generated(algebra):
     return tuple(seeds)
 
 
+def _mask(algebra, indices):
+    """The bitmask of `indices`, checked to lie in range(algebra.size)."""
+    indices = set(indices)
+    _check_indices(algebra, indices)
+    return sum(1 << x for x in indices)
+
+
 def _members(mask):
     """The elements whose bits are set in `mask`, in increasing order."""
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
@@ -492,28 +578,37 @@ def all_subuniverses(algebra, proper_nonempty_only=False, cap=DEFAULT_SUBUNIVERS
 
 @dataclass
 class CepWitness:
-    """One congruence of a subalgebra and whether some congruence of the big
-    algebra restricts to it exactly."""
+    """One congruence θ of a subalgebra and whether some congruence of the
+    big algebra restricts to it exactly.  θ is held as `blocks`, blocks of
+    positions into `members`; `theta`, the Congruence of the subalgebra on
+    `members`, builds that subalgebra on first read."""
     algebra: FiniteAlgebra        # the ambient algebra B
     members: tuple                # subuniverse of B carrying the inner algebra
-    theta: Congruence             # congruence of the inner algebra
+    blocks: tuple                 # θ's blocks, positions into `members`
     extendable: bool
-    extension: Congruence | None  # a congruence of B with restriction theta
+    extension: Congruence | None  # a congruence of B with restriction θ
+
+    @cached_property
+    def theta(self):
+        return Congruence(subalgebra(self.algebra, self.members), self.blocks, check=False)
 
     def describe(self):
         inner = "+".join(self.algebra.names(self.members))
         verdict = "extends" if self.extendable else "NOT extendable"
-        return f"{self.algebra.name} >= {inner}: {self.theta.blocks} {verdict}"
+        return f"{self.algebra.name} >= {inner}: {self.blocks} {verdict}"
 
 
 def check_cep_pair(algebra, members, big_lattice=None):
     """One CepWitness per congruence of the subalgebra on `members`.
 
-    Exhaustive: a congruence extends iff some member of Con(B) restricts to it.
+    Exhaustive: a congruence extends iff some member of Con(B) restricts to
+    it.  The subalgebra's congruences are closed on B's rows restricted to
+    `members` (`_congruence_blocks`), so no subalgebra is built; each
+    is compared, as position blocks, with the restrictions of `big_lattice`.
+    An index out of range or a subset that is not closed raises
+    UnknownElement before any restriction is read.
     """
-    members = tuple(sorted(members))
-    inner = subalgebra(algebra, members)
-    inner_lattice = congruence_lattice(inner)
+    members, inner_lattice = _congruence_blocks(algebra, members)
     if big_lattice is None:
         big_lattice = congruence_lattice(algebra)
     # each restriction once, kept with the first phi in big_lattice order
@@ -521,10 +616,10 @@ def check_cep_pair(algebra, members, big_lattice=None):
     for phi in big_lattice:
         extensions.setdefault(phi.restrict(members), phi)
     witnesses = []
-    for theta in inner_lattice:
-        extension = extensions.get(theta.blocks)  # blocks over positions in `members`
+    for blocks in inner_lattice:
+        extension = extensions.get(blocks)
         witnesses.append(
-            CepWitness(algebra, members, theta, extension is not None, extension)
+            CepWitness(algebra, members, blocks, extension is not None, extension)
         )
     return witnesses
 
@@ -538,10 +633,9 @@ def hs_class(algebra):
         if not members:
             continue
         sub = subalgebra(algebra, members)
-        for theta in congruence_lattice(sub):
-            q = quotient(sub, theta)
-            if q.size == 1:
-                continue
+        # the last congruence, the full one, has a one-element quotient
+        for blocks in _congruence_blocks(algebra, members)[1][:-1]:
+            q = quotient(sub, blocks)
             if not any(
                 q.size == r.size and isomorphisms(q, r) for r in representatives
             ):

@@ -627,6 +627,18 @@ def test_congruence_reports_of_a_square_file_are_pinned(capsys, tmp_path, factor
     assert (code, err) == (json.loads(out)["exit_code"], "")
 
 
+@pytest.mark.parametrize("name, code", [("crystal", 0), ("belnap-m", 1)])
+def test_cep_reports_are_pinned(capsys, name, code):
+    """`check --property cep` in JSON matches the committed report byte for
+    byte, with its exit code: belnap-m fails with three witnesses."""
+    got, out, err = run_cli(capsys, "--format", "json", "check", "--property", "cep",
+                            "--algebra", name)
+    with open(os.path.join(REPO_ROOT, "tests", "data", f"{name}_cep.json"),
+              "r", encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert (got, err) == (code, "")
+
+
 # ---------------------------------------------------------------------------
 # Data dir and subprocess entry point
 # ---------------------------------------------------------------------------

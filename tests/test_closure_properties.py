@@ -51,6 +51,7 @@ from relog.subcon import (
     LATTICE_AXIOMS,
     Congruence,
     all_subuniverses,
+    check_cep_pair,
     congruence_lattice,
     generated_subuniverse,
     hs_class,
@@ -60,6 +61,9 @@ from relog.subcon import (
 )
 from tests_oracle_helper import (
     CHAIN17,
+    IMPLICATION_FUSION,
+    LEFT_BLIND_MEET,
+    NOT_A_LATTICE,
     SKEW_MEET,
     ReferenceFreeAlgebra,
     brute_force_congruence_lattice,
@@ -70,6 +74,7 @@ from tests_oracle_helper import (
     is_compatible,
     lattice_tables_from_covers,
     powerset_subuniverses,
+    reference_cep_pair,
     reference_generated_subuniverse,
     reference_interpolant_masks,
     reference_simple_and_fsi,
@@ -266,6 +271,49 @@ def test_congruence_engine_matches_its_oracles_on_lattices(algebra):
     reference = brute_force_congruence_lattice(algebra)
     assert congruence_lattice(algebra) == reference
     assert (is_simple(algebra), is_fsi(algebra)) == reference_simple_and_fsi(reference)
+
+
+def cep_algebras():
+    """One of `lattice_algebras`; a table that is not a lattice, drawn at
+    random, redrawn from a lattice or one of the fixtures; or a product of
+    SKEW_MEET, whose meet does not commute, with a builtin, a subalgebra or
+    HS member of one, a random table or a fixture, of at most 24 elements."""
+    fixtures = st.sampled_from((NOT_A_LATTICE, LEFT_BLIND_MEET, IMPLICATION_FUSION))
+    factors = st.one_of(st.sampled_from(_lattice_bases()), small_algebras(), fixtures)
+    skewed = factors.filter(lambda a: a.size <= 8).map(lambda a: product([a, SKEW_MEET]))
+    return st.one_of(lattice_algebras(), small_algebras(), redrawn_lattices(), fixtures,
+                     skewed)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cep_algebras(), st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=3),
+                                 max_size=3))
+@example(power(builtin_crystal(), 2), [[8], [3, 26], [0, 31, 17]])
+def test_subalgebra_congruences_match_their_oracles(algebra, seeds):
+    """The congruences of a closed subset S, closed on the rows of the whole
+    algebra restricted to S, are those of the subalgebra on S, in the same
+    order; and `check_cep_pair` gives the witnesses of the reference that
+    builds the subalgebra: the same blocks, verdicts, extension objects and
+    theta.  Each subset is generated by up to three indices, taken modulo
+    the size.  Tables with many congruences are compared up to 64 of them:
+    the join oracle is quadratic in their number."""
+    big_lattice = brute_force_congruence_lattice(algebra, limit=64)
+    if big_lattice is None:
+        return
+    assert congruence_lattice(algebra) == big_lattice
+    for seed in seeds:
+        members = generated_subuniverse(algebra, [x % algebra.size for x in seed])
+        reference = brute_force_congruence_lattice(subalgebra(algebra, members), limit=64)
+        if reference is None:
+            continue
+        assert subcon._congruence_blocks(algebra, members) == \
+            (members, [theta.blocks for theta in reference])
+        witnesses = check_cep_pair(algebra, members, big_lattice=big_lattice)
+        expected = reference_cep_pair(algebra, members, big_lattice)
+        assert [(w.members, w.blocks, w.extendable) for w in witnesses] == \
+            [(members, theta.blocks, ok) for theta, ok, _ in expected]
+        assert all(w.extension is extension for w, (_, _, extension) in zip(witnesses, expected))
+        assert [w.theta for w in witnesses] == [theta for theta, _, _ in expected]
 
 
 def formulas(names):

@@ -1,3 +1,5 @@
+import json
+import os
 from itertools import combinations, product
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from relog import subcon
 from relog.algebra import (
     FiniteAlgebra,
+    builtin,
     builtin_belnap_m,
     builtin_boolean2,
     builtin_crystal,
@@ -383,6 +386,20 @@ def test_congruence_lattice_cap():
         congruence_lattice(power(B2, 7))  # 128 elements, over the default of 100
 
 
+def test_subalgebra_congruence_caps():
+    """Con(S) refuses more than 100 members, and a subalgebra of an algebra
+    past 256 elements is refused, since S's rows are the ambient algebra's
+    byte rows."""
+    cube = power(B2, 7)
+    with pytest.raises(SizeCapExceeded, match="exceeds cap 100"):
+        check_cep_pair(cube, range(cube.size), big_lattice=[])
+    # the last two coordinates equal: a copy of boolean2^6, with 64 congruences
+    diagonal = [x for x in range(cube.size) if x & 1 == x >> 1 & 1]
+    assert len(check_cep_pair(cube, diagonal, big_lattice=[])) == 64
+    with pytest.raises(SizeCapExceeded, match="at most 256 elements"):
+        check_cep_pair(power(B2, 9), (0,), big_lattice=[])
+
+
 def test_not_a_congruence_raises():
     with pytest.raises(NotACongruence):
         Congruence(C, [[0, 1], [2], [3], [4], [5]])
@@ -398,6 +415,58 @@ def test_cep_pairs_inside_crystal_all_extend():
             assert witness.extendable
             restriction = witness.extension.restrict(members)
             assert restriction == witness.theta.blocks
+
+
+def test_cep_checks_build_no_subalgebra(monkeypatch):
+    """Con of each subalgebra is closed on the big algebra's rows: the CEP
+    checks and the witnesses' descriptions never build a subalgebra."""
+    classes = hs_class(M)
+    square = power(C, 2)
+    universes = [s for s in all_subuniverses(square, cap=square.size) if s]
+
+    def refuse(algebra, members):
+        raise AssertionError("subalgebra built")
+
+    monkeypatch.setattr(subcon, "subalgebra", refuse)
+    verdict, failures, checked = check_cep_class(classes)
+    assert (verdict, len(failures), checked) == (False, 3, 49)
+    assert all("NOT extendable" in w.describe() for w in failures)
+    lattice = congruence_lattice(square)
+    assert all(w.extendable for s in universes
+               for w in check_cep_pair(square, s, big_lattice=lattice))
+
+
+def test_cep_witness_builds_theta_on_first_read():
+    witness = [w for w in check_cep_pair(M, (0, 2, 5, 7)) if not w.extendable][0]
+    assert "theta" not in vars(witness)
+    theta = witness.theta
+    assert theta is witness.theta
+    assert theta == Congruence(subalgebra(M, (0, 2, 5, 7)), witness.blocks)
+    assert theta.blocks == witness.blocks == ((0,), (1, 2), (3,))
+
+
+@pytest.mark.parametrize("members, message", [
+    ((99,), "99 is not an element index"),
+    ((0, 99), "99 is not an element index"),
+    ((-1,), "-1 is not an element index"),
+    ((C.el("bot"), -1), "-1 is not an element index"),
+    ((C.el("a"), C.el("b")), "not closed"),
+], ids=["out-of-range", "out-of-range-with-member", "negative", "negative-with-member",
+        "not-closed"])
+@pytest.mark.parametrize("check", [check_cep_pair, subalgebra], ids=["cep", "subalgebra"])
+def test_bad_members_raise_unknown_element(check, members, message):
+    """An index out of range, a negative one that would alias the last
+    element, or a subset that is not closed (a * b = f in crystal) is
+    refused before any restriction is read."""
+    with pytest.raises(UnknownElement, match=message):
+        check(C, members)
+
+
+def test_a_subset_not_closed_under_neg_is_refused():
+    square = power(C, 2)
+    # (t, bot) alone: its negation (f, top) lies outside
+    with pytest.raises(UnknownElement, match="not closed at a product or negation of t.bot"):
+        check_cep_pair(square, (square.el("t.bot"),))
 
 
 def test_cep_class_over_hs_of_crystal_holds():
@@ -442,6 +511,18 @@ def test_hs_class_of_crystal_is_its_subalgebras():
 def test_hs_class_of_boolean2():
     reps = hs_class(B2)
     assert len(reps) == 1 and reps[0].size == 2
+
+
+def test_hs_classes_of_the_builtins_are_pinned():
+    """Names, elements and tables of every member, in order, as committed."""
+    path = os.path.join(os.path.dirname(__file__), "data", "hs_classes.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    for name, members in pinned.items():
+        assert [{"name": a.name, "elements": list(a.elements),
+                 "meet": [list(r) for r in a.meet], "join": [list(r) for r in a.join],
+                 "fusion": [list(r) for r in a.fusion], "neg": list(a.neg)}
+                for a in hs_class(builtin(name))] == members, name
 
 
 def test_hs_class_includes_proper_quotients():

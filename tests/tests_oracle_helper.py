@@ -8,7 +8,8 @@ the whole powerset, or close element sets one generator at a time in both
 argument positions of every table.  The congruence-lattice oracle joins the
 principal congruences of all pairs with every congruence found, both from a
 union-find closure of element pairs, and the FSI oracle meets them as
-intersections of partitions.  The principal-congruence oracle
+intersections of partitions.  The CEP oracle builds the subalgebra and reads
+its own congruence lattice.  The principal-congruence oracle
 searches all set partitions.  The valuation
 oracles list every valuation of a grid before filtering it.  The morphism
 checks at the end compose maps and test them against the tables; the
@@ -31,6 +32,7 @@ from relog.subcon import (
     DEFAULT_SUBUNIVERSE_CAP,
     Congruence,
     all_subuniverses,
+    congruence_lattice,
     identity_congruence,
 )
 
@@ -342,6 +344,27 @@ def brute_force_congruence_lattice(algebra, limit=None):
                         return None
         frontier = new
     return sorted(found, key=lambda c: (-len(c.blocks), c.block_of))
+
+
+def reference_cep_pair(algebra, members, big_lattice):
+    """(theta, extendable, extension) per congruence theta of the subalgebra
+    on `members`: the subalgebra is built and its own congruence lattice
+    computed, and each theta is compared with the restriction of every phi
+    in `big_lattice`, the first match being its extension."""
+    members = tuple(sorted(members))
+
+    def restriction(phi):
+        groups = {}
+        for pos, x in enumerate(members):
+            groups.setdefault(phi.block_of[x], []).append(pos)
+        return sorted(tuple(g) for g in groups.values())
+
+    witnesses = []
+    for theta in congruence_lattice(subalgebra(algebra, members)):
+        extension = next((phi for phi in big_lattice
+                          if restriction(phi) == list(theta.blocks)), None)
+        witnesses.append((theta, extension is not None, extension))
+    return witnesses
 
 
 def congruence_meet(theta, phi):
