@@ -12,7 +12,7 @@ import math
 import os
 from functools import cached_property, lru_cache, wraps
 from itertools import chain, product as product_of
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .errors import (
     ArityError,
@@ -556,39 +556,10 @@ def _partition_blocks(algebra, partition):
 
 
 def quotient(algebra, congruence):
-    """Block algebra of a congruence; raises NotACongruence if tables are not well defined."""
+    """The algebra of a congruence's blocks, `<name>%<blocks>`, by `_induced`:
+    NotACongruence, naming blocks, if they are not a compatible partition."""
     blocks = _partition_blocks(algebra, congruence)
-    block_of = [None] * algebra.size
-    for bi, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = bi
-    m = len(blocks)
-
-    def induced(table):
-        out = [[None] * m for _ in range(m)]
-        for bi, bx in enumerate(blocks):
-            for bj, by in enumerate(blocks):
-                results = {block_of[table[x][y]] for x in bx for y in by}
-                if len(results) != 1:
-                    raise NotACongruence(
-                        "operation not well defined on blocks "
-                        f"{algebra.names(bx)} and {algebra.names(by)}"
-                    )
-                out[bi][bj] = results.pop()
-        return out
-
-    meet = induced(algebra.meet)
-    join = induced(algebra.join)
-    fusion = induced(algebra.fusion)
-    neg = [None] * m
-    for bi, block in enumerate(blocks):
-        results = {block_of[algebra.neg[x]] for x in block}
-        if len(results) != 1:
-            raise NotACongruence(f"neg not well defined on block {algebra.names(block)}")
-        neg[bi] = results.pop()
-
-    names = ["+".join(algebra.elements[x] for x in block) for block in blocks]
-    return FiniteAlgebra(f"{algebra.name}%{m}", names, meet, join, fusion, neg)
+    return _induced(algebra, blocks, f"{algebra.name}%{len(blocks)}")
 
 
 def _check_indices(algebra, indices):
@@ -599,30 +570,54 @@ def _check_indices(algebra, indices):
 
 
 def subalgebra(algebra, members):
-    """The algebra induced on a closed subset of elements (indices).
-
-    An index outside range(algebra.size), negative ones included, raises
-    UnknownElement, as does a subset that is not closed."""
-    members = tuple(sorted(members))
+    """The algebra induced on a closed subset of element indices,
+    `<name>[<members joined by +>]`, by `_induced`.  An index out of range,
+    or a subset not closed, raises UnknownElement, naming what leaves it."""
+    members = sorted(members)
     _check_indices(algebra, members)
-    pos = {x: i for i, x in enumerate(members)}
-    for x in members:
-        if algebra.neg[x] not in pos:
-            raise UnknownElement(f"subset not closed under neg at {algebra.elements[x]}")
-    for x in members:
-        for y in members:
-            for table in (algebra.meet, algebra.join, algebra.fusion):
-                if table[x][y] not in pos:
-                    raise UnknownElement(
-                        f"subset not closed at {algebra.elements[x]},{algebra.elements[y]}"
-                    )
-    names = [algebra.elements[x] for x in members]
-    take2 = lambda table: [[pos[table[x][y]] for y in members] for x in members]
-    return FiniteAlgebra(
-        f"{algebra.name}[{'+'.join(names)}]",
-        names,
-        take2(algebra.meet),
-        take2(algebra.join),
-        take2(algebra.fusion),
-        [pos[algebra.neg[x]] for x in members],
-    )
+    return _induced(algebra, [(x,) for x in members],
+                    f"{algebra.name}[{'+'.join(algebra.names(members))}]")
+
+
+def _induced(algebra, blocks, name):
+    """The algebra whose element i is blocks[i], for disjoint blocks of ids
+    ordered by least member, named by its members joined with '+'.  Tables
+    are read off the first members, one lookup per entry.  A negation or
+    product that leaves the union raises UnknownElement.  Only a block of two
+    or more members can make an operation ill defined: its members' rows of
+    product blocks, and columns where a table does not commute, must equal
+    its first member's, and so must their negations' blocks, or
+    NotACongruence.  Then x ~ x' and y ~ y' give xy ~ x'y ~ x'y'."""
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    at, union = block_of.__getitem__, sorted(block_of)
+    firsts, binary = _getter([block[0] for block in blocks]), algebra.binary_tables
+    large = [block for block in blocks if len(block) > 1]
+    try:
+        tables = [[tuple(map(at, firsts(row))) for row in firsts(table)] for table, _, _ in binary]
+        neg = tuple(map(at, firsts(algebra.neg)))
+        pick = _getter(union)
+        for table, transpose, commutative in binary:
+            for rows, block in product_of((table,) if commutative else (table, transpose), large):
+                first, *others = [tuple(map(at, pick(rows[x]))) for x in block]
+                for got in others:
+                    if got != first:
+                        y = union[[a == b for a, b in zip(got, first)].index(False)]
+                        raise NotACongruence("operation not well defined on blocks "
+                                             f"{algebra.names(block)} and "
+                                             f"{algebra.names(blocks[block_of[y]])}")
+        for block in large:
+            if len({at(algebra.neg[x]) for x in block}) > 1:
+                raise NotACongruence(f"neg not well defined on block {algebra.names(block)}")
+    except KeyError:
+        escapes = chain((f"under neg at {algebra.elements[x]}"
+                         for x in union if algebra.neg[x] not in block_of),
+                        (f"at {algebra.elements[x]},{algebra.elements[y]}"
+                         for x in union for y in union
+                         if any(t[x][y] not in block_of for t, _, _ in binary)))
+        raise UnknownElement(f"subset not closed {next(escapes)}") from None
+    return FiniteAlgebra(name, ["+".join(algebra.names(b)) for b in blocks], *tables, neg)
+
+
+def _getter(indices):
+    """`itemgetter(*indices)`, returning a tuple for any number of indices."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda row: tuple(row[i] for i in indices)

@@ -32,8 +32,8 @@ from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter
 
-from .algebra import (FiniteAlgebra, _check_indices, _partition_blocks, derived, quotient,
-                      subalgebra)
+from .algebra import (FiniteAlgebra, _check_indices, _induced, _partition_blocks, derived,
+                      quotient, subalgebra)
 from .errors import SizeCapExceeded, UnknownElement
 
 DEFAULT_SUBUNIVERSE_CAP = 24
@@ -625,17 +625,19 @@ def check_cep_pair(algebra, members, big_lattice=None):
 
 
 def hs_class(algebra):
-    """All nontrivial quotients of all subalgebras, deduplicated up to isomorphism."""
+    """All nontrivial quotients of all subalgebras, deduplicated up to
+    isomorphism.  Each S/θ is induced straight from θ's blocks in A's ids."""
     from .morph import isomorphisms  # deferred: morph builds on this module
 
     representatives = []
     for members in all_subuniverses(algebra):
         if not members:
             continue
-        sub = subalgebra(algebra, members)
+        prefix = f"{algebra.name}[{'+'.join(algebra.names(members))}]%"
         # the last congruence, the full one, has a one-element quotient
         for blocks in _congruence_blocks(algebra, members)[1][:-1]:
-            q = quotient(sub, blocks)
+            q = _induced(algebra, [tuple(members[p] for p in block) for block in blocks],
+                         f"{prefix}{len(blocks)}")
             if not any(
                 q.size == r.size and isomorphisms(q, r) for r in representatives
             ):
@@ -647,15 +649,17 @@ def check_cep_class(algebras):
     """Class CEP: every congruence of every subalgebra of every member extends.
 
     Returns (verdict, non_extendable, checked) where `non_extendable` lists the
-    failing witnesses and `checked` counts all examined witnesses.
+    failing witnesses and `checked` counts all examined witnesses.  Each
+    congruence of a nonempty B extends to itself, so B's whole universe adds
+    len(Con(B)) witnesses unchecked.
     """
     failures = []
     checked = 0
     for big in algebras:
         big_lattice = congruence_lattice(big)
-        for members in all_subuniverses(big):
-            if not members:
-                continue
+        if big.size:
+            checked += len(big_lattice)
+        for members in all_subuniverses(big, proper_nonempty_only=True):
             for witness in check_cep_pair(big, members, big_lattice=big_lattice):
                 checked += 1
                 if not witness.extendable:

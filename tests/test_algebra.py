@@ -449,15 +449,30 @@ def test_quotient_by_identity_and_full():
 
 
 def test_quotient_rejects_non_congruence():
-    with pytest.raises(NotACongruence):
-        quotient(C, [[BOT, T], [A], [B], [F], [TOP]])  # collapsing bot,t is not compatible
-    with pytest.raises(NotACongruence):
-        quotient(C, [[0, 1, 2]])  # not a partition
+    # collapsing bot,t is not compatible: bot meet a = bot but t meet a = a
+    with pytest.raises(NotACongruence,
+                       match=r"not well defined on blocks \('bot', 't'\) and \('a',\)"):
+        quotient(C, [[BOT, T], [A], [B], [F], [TOP]])
+    with pytest.raises(NotACongruence, match="do not partition"):
+        quotient(C, [[0, 1, 2]])
+
+
+def test_quotient_names_a_block_where_neg_is_not_well_defined():
+    """boolean2^2 with meet, join and fusion the left projection: every
+    partition respects them, and {0.0, 0.1} is split by neg alone."""
+    square = power(B2, 2)
+    left = [[x] * 4 for x in range(4)]
+    projected = FiniteAlgebra("left", square.elements, left, left, left, square.neg)
+    with pytest.raises(NotACongruence, match=r"neg not well defined on block \('0.0', '0.1'\)"):
+        quotient(projected, [[0, 1], [2], [3]])
 
 
 def test_subalgebra_construction():
     chain = subalgebra(C, (BOT, T, F, TOP))
     assert chain.elements == ("bot", "t", "f", "top")
     assert all(r.holds for r in validate_relevant_algebra(chain))
-    with pytest.raises(UnknownElement):
-        subalgebra(C, (T, F))  # not closed: t*f etc. fine but neg t = f ok; t meet f = t ok; f*f = top missing
+    # neg swaps t and f, and t meet f = t, but f fusion f = top is missing
+    with pytest.raises(UnknownElement, match="^subset not closed at f,f$"):
+        subalgebra(C, (T, F))
+    with pytest.raises(UnknownElement, match="^subset not closed under neg at t$"):
+        subalgebra(C, (T,))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,13 +7,15 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relog import cli, reproduce
-from relog.algebra import BUILTIN_NAMES
+from relog.algebra import BUILTIN_NAMES, builtin, builtin_crystal, serialize
 from relog.cli import main
 from relog.interp import VerificationTranscript
 from relog.logic import MAX_FORMULA_DEPTH
 from relog.reproduce import run_claims_suite
+from relog.subcon import all_subuniverses
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(REPO_ROOT, "docs", "report-schema.json")
@@ -59,6 +63,24 @@ def test_entails_modus_ponens_holds(capsys):
     code, out, _ = run_cli(capsys, "entails", "--algebra", "crystal",
                            "--premises", "p, p -> q", "--conclusion", "q")
     assert code == 0
+
+
+@pytest.mark.parametrize("algebra, hs, code, out", [
+    ("belnap-m", False, 0, "holds"),
+    ("belnap-m", True, 1, "fails: countermodel in belnap_m[n3+n2+p2+p3]%3: p=n2+p2, q=n3"),
+    ("crystal", False, 1, "fails: countermodel in crystal: p=t, q=bot"),
+    ("crystal", True, 1, "fails: countermodel in crystal[bot+a+top]%3: p=a, q=bot"),
+])
+def test_entails_decides_the_matrix_and_with_use_hs_class_the_variety(
+        capsys, algebra, hs, code, out):
+    argv = ["entails", "--algebra", algebra, "--premises", "~p * p | q", "--conclusion", "q"]
+    assert run_cli(capsys, *argv, *["--use-hs-class"] * hs) == (code, out + "\n", "")
+
+
+def test_amalgamate_with_an_apex_that_is_not_closed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "amalgamate", "--algebra", "crystal", "--apex", "t,f",
+                             "--left", "bot,t,f,top", "--right", "bot,t,f,top")
+    assert (code, out, err) == (2, "", "error: subset not closed at f,f\n")
 
 
 def test_interpolate_example(capsys):
@@ -637,6 +659,100 @@ def test_cep_reports_are_pinned(capsys, name, code):
               "r", encoding="utf-8") as fh:
         assert out == fh.read()
     assert (got, err) == (code, "")
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract, fuzzed
+# ---------------------------------------------------------------------------
+
+_FILE_COMMANDS = (["validate"], ["congruences"], ["subalgebras", "--proper"], ["autos"],
+                  *(["check", "--property", p] for p in ("simple", "fsi", "cep", "extensible")),
+                  ["entails", "--conclusion", "p -> p"])
+_FORMULAS = st.one_of(
+    st.text(alphabet="pqr~*|&-> ()", max_size=14),
+    st.recursive(st.sampled_from("pqr"), lambda inner: st.one_of(
+        inner.map("~{}".format),
+        st.tuples(inner, st.sampled_from(("*", "|", "&", "->")), inner)
+        .map(lambda parts: "({} {} {})".format(*parts)),
+    ), max_leaves=4))
+
+
+@st.composite
+def mutated_algebra_files(draw):
+    """The crystal file with one or two lines, or tokens in them, deleted,
+    repeated, replaced or cut short."""
+    lines = [line.split() for line in serialize(builtin_crystal()).splitlines()]
+    tokens = st.sampled_from((*builtin_crystal().elements, "x", "op", "neg", "2", "#", ""))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("delete", "repeat", "replace", "replace", "cut")))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if edit == "replace":
+                lines[i][j] = draw(tokens)
+            else:
+                del lines[i][j:]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@st.composite
+def cli_calls(draw, path):
+    """One argv: a command on a mutated algebra file, a decision on drawn
+    formulas, counts and caps around their least values, or a span of
+    drawn member lists, which reach the subalgebra builder's refusals."""
+    kind = draw(st.sampled_from(("file", "formula", "count", "span")))
+    algebra = draw(st.sampled_from(("crystal", "belnap-m", "boolean2")))
+    if kind == "file":
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(draw(mutated_algebra_files()))
+        return [*draw(st.sampled_from(_FILE_COMMANDS)), "--algebra", str(path)]
+    if kind == "formula":
+        if draw(st.booleans()):
+            return ["interpolate", "--algebra", algebra, "--gamma", draw(_FORMULAS),
+                    "--alpha", draw(_FORMULAS), "--sigma", draw(_FORMULAS),
+                    "--cap-elements", str(draw(st.integers(-1, 30)))]
+        return ["entails", "--algebra", algebra, "--premises", draw(_FORMULAS),
+                "--conclusion", draw(_FORMULAS), *draw(st.sampled_from(([], ["--use-hs-class"])))]
+    if kind == "count":
+        small = st.integers(-2, 3).map(str)
+        return draw(st.sampled_from((
+            ["free-algebra", "--algebra", algebra, "--generators", draw(small),
+             "--cap-elements", str(draw(st.integers(-2, 60))),
+             "--cap-coordinates", draw(st.sampled_from(("-1", "0", "2", "64", "512"))),
+             "--sample", draw(small)],
+            ["vsp-scan", "--algebra", algebra, "--bound", str(draw(st.integers(-1, 2)))],
+            ["reproduce", "--instances", str(draw(st.integers(-2, 0))), "--bound", draw(small)],
+        )))
+    generator = builtin(algebra)
+    names = st.sampled_from((*generator.elements, "zz", ""))
+    universes = [",".join(generator.names(s)) for s in all_subuniverses(generator) if s]
+    members = st.one_of(st.sampled_from(universes), st.lists(names, max_size=6).map(",".join))
+    pins = st.lists(st.tuples(names, names).map(":".join), max_size=2).map(",".join)
+    return ["amalgamate", "--algebra", algebra, "--apex", draw(members),
+            "--left", draw(members), "--right", draw(members), "--map-left", draw(pins),
+            "--mode", draw(st.sampled_from(("AP", "TIP")))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.alg"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_every_fuzzed_call_exits_zero_one_or_two(fuzz_path, data):
+    """No input escapes the contract: every call returns 0, 1 or 2, and no
+    exception or traceback gets out."""
+    argv = data.draw(cli_calls(fuzz_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", data.draw(st.sampled_from(("text", "json"))), *argv])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 # ---------------------------------------------------------------------------

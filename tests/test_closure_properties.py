@@ -7,7 +7,7 @@ their oracles; and the file format's round trip on products."""
 
 import math
 from functools import lru_cache
-from itertools import combinations, product as product_of
+from itertools import chain, combinations, product as product_of
 from unittest.mock import patch
 
 import pytest
@@ -24,6 +24,7 @@ from relog.algebra import (
     load_algebra,
     power,
     product,
+    quotient,
     serialize,
     subalgebra,
     validate_relevant_algebra,
@@ -33,6 +34,7 @@ from relog.errors import (
     NoSharedVariables,
     NotACongruence,
     NotEntailed,
+    UnknownElement,
 )
 from relog.interp import FreeAlgebra, maehara_interpolant, verify_interpolant
 from relog.logic import (
@@ -71,13 +73,16 @@ from tests_oracle_helper import (
     brute_force_designating_valuations,
     brute_force_principal_congruences,
     closure_state,
+    is_closed,
     is_compatible,
     lattice_tables_from_covers,
     powerset_subuniverses,
     reference_cep_pair,
     reference_generated_subuniverse,
     reference_interpolant_masks,
+    reference_quotient,
     reference_simple_and_fsi,
+    reference_subalgebra,
     reference_subuniverses,
     set_partitions,
 )
@@ -314,6 +319,69 @@ def test_subalgebra_congruences_match_their_oracles(algebra, seeds):
             [(members, theta.blocks, ok) for theta, ok, _ in expected]
         assert all(w.extension is extension for w, (_, _, extension) in zip(witnesses, expected))
         assert [w.theta for w in witnesses] == [theta for theta, _, _ in expected]
+
+
+def assert_same_algebra(got, expected):
+    assert (got.name, got) == (expected.name, expected)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(small_algebras(), cep_algebras(),
+                 small_algebras().map(lambda a: product([a, SKEW_MEET]))),
+       st.lists(st.sets(st.integers(0, 23)), max_size=6),
+       st.lists(st.lists(st.integers(0, 2), min_size=25, max_size=25), max_size=6))
+@example(product([builtin_crystal(), SKEW_MEET]), [{3, 4}, {0, 9}], [[0, 1, 2] * 9])
+# left projections respect every partition, so only neg splits {0, 2}
+@example(FiniteAlgebra("left", "abc", *[[[x] * 3 for x in range(3)]] * 3, (1, 0, 2)), [], [])
+def test_induced_algebras_match_their_oracles(algebra, subsets, partitions):
+    """`subalgebra` refuses exactly the subsets that are not closed, and
+    `quotient` exactly the partitions that are not compatible; what they
+    build, and every candidate `hs_class` builds, has the name, elements and
+    tables of the reference that checks closure first and collects the
+    block of every product.  Up to 5 elements every subset and partition is
+    tried; past that the drawn ones, taken modulo the size or cut to it,
+    the first subuniverses and the first congruences."""
+    n = algebra.size
+    if n <= 5:
+        subsets = list(chain.from_iterable(combinations(range(n), r) for r in range(n + 1)))
+        partitions = set_partitions(n)
+    else:
+        subsets = [{x % n for x in s} for s in subsets] + all_subuniverses(algebra, cap=n)[:8]
+        partitions = [labels[:n] for labels in partitions]
+        partitions += [theta.block_of for theta in congruence_lattice(algebra)[:8]]
+    for members in subsets:
+        if is_closed(algebra, members):
+            assert_same_algebra(subalgebra(algebra, members),
+                                reference_subalgebra(algebra, members))
+        else:
+            with pytest.raises(UnknownElement, match="not closed"):
+                subalgebra(algebra, members)
+    for labels in partitions:
+        blocks = subcon._blocks(labels)
+        if is_compatible(algebra, labels):
+            assert_same_algebra(quotient(algebra, blocks), reference_quotient(algebra, blocks))
+        else:
+            with pytest.raises(NotACongruence, match="not well defined"):
+                quotient(algebra, blocks)
+    if n > 8:
+        return
+    built, induced = [], subcon._induced
+
+    def recorded(*args):
+        built.append((args, induced(*args)))
+        return built[-1][1]
+
+    # every candidate is built before its isomorphism check: skip the checks
+    with patch.object(subcon, "_induced", recorded), \
+            patch("relog.morph.isomorphisms", lambda source, target: []):
+        hs_class(algebra)
+    assert built or n < 2
+    for (_, blocks, _), candidate in built:
+        members = sorted(chain.from_iterable(blocks))
+        position = {x: p for p, x in enumerate(members)}
+        sub = reference_subalgebra(algebra, members)
+        assert_same_algebra(candidate, reference_quotient(
+            sub, [[position[x] for x in block] for block in blocks]))
 
 
 def formulas(names):

@@ -32,6 +32,7 @@ from relog.logic import (
     theorem,
     verify_countermodel,
 )
+from relog.morph import embeddings
 from relog.subcon import hs_class
 from tests_oracle_helper import brute_force_designating_valuations, brute_force_min_sizes
 
@@ -380,6 +381,27 @@ def test_single_crystal_agrees_with_hs_class():
         gamma = [_random_formula(rng, pool, 2) for _ in range(rng.randrange(3))]
         alpha = _random_formula(rng, pool, 2)
         assert entails([C], gamma, alpha).holds == entails(K, gamma, alpha).holds
+
+
+@pytest.mark.parametrize("base, in_matrix, in_variety, all_embed", [
+    (M, None, ("belnap_m[n3+n2+p2+p3]%3", {"p": "n2+p2", "q": "n3"}), False),
+    (C, ("crystal", {"p": "t", "q": "bot"}), ("crystal[bot+a+top]%3", {"p": "a", "q": "bot"}),
+     True),
+], ids=["belnap-m", "crystal"])
+def test_matrix_consequence_and_variety_consequence(base, in_matrix, in_variety, all_embed):
+    """~p * p | q |- q holds in the belnap-m matrix but fails in a quotient
+    of one of its chains, so over V(belnap-m), which HS(belnap-m) decides;
+    for crystal, whose HS members all embed in it, it fails both ways.  Each
+    countermodel is the first member and the least valuation."""
+    members = hs_class(base)
+    assert all(embeddings(h, base) for h in members) == all_embed
+    for algebras, expected in (([base], in_matrix), (members, in_variety)):
+        verdict = entails(algebras, [parse_formula("~p * p | q")], Q)
+        assert verdict.holds == (expected is None)
+        if expected is not None:
+            model = verdict.countermodel
+            assert (model.algebra.name, model.named()) == expected
+            assert bool(embeddings(model.algebra, base)) == all_embed
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,32 @@ def test_cep_checks_build_no_subalgebra(monkeypatch):
                for w in check_cep_pair(square, s, big_lattice=lattice))
 
 
+@pytest.mark.parametrize("algebras, expected", [
+    (lambda: hs_class(C), (True, 0, 36)),
+    (lambda: hs_class(M), (False, 3, 49)),
+    (lambda: [subalgebra(C, ())], (True, 0, 0)),
+    (lambda: [quotient(C, [list(range(C.size))])], (True, 0, 1)),
+], ids=["HS(crystal)", "HS(belnap-m)", "empty", "one-element"])
+def test_cep_class_counts_each_whole_universe_without_closing_it(monkeypatch, algebras,
+                                                               expected):
+    """Every congruence of B extends to itself, so B's whole universe counts
+    len(Con(B)) witnesses and is never passed to `check_cep_pair`; the
+    proper nonempty universes give the rest of `checked`."""
+    algebras, pairs = algebras(), []
+    check = subcon.check_cep_pair
+
+    def counted(algebra, members, big_lattice=None):
+        assert 0 < len(members) < algebra.size
+        witnesses = check(algebra, members, big_lattice=big_lattice)
+        pairs.append(len(witnesses))
+        return witnesses
+
+    monkeypatch.setattr(subcon, "check_cep_pair", counted)
+    verdict, failures, checked = check_cep_class(algebras)
+    assert (verdict, len(failures), checked) == expected
+    assert checked == sum(pairs) + sum(len(congruence_lattice(a)) for a in algebras if a.size)
+
+
 def test_cep_witness_builds_theta_on_first_read():
     witness = [w for w in check_cep_pair(M, (0, 2, 5, 7)) if not w.extendable][0]
     assert "theta" not in vars(witness)

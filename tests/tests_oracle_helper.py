@@ -8,8 +8,10 @@ the whole powerset, or close element sets one generator at a time in both
 argument positions of every table.  The congruence-lattice oracle joins the
 principal congruences of all pairs with every congruence found, both from a
 union-find closure of element pairs, and the FSI oracle meets them as
-intersections of partitions.  The CEP oracle builds the subalgebra and reads
-its own congruence lattice.  The principal-congruence oracle
+intersections of partitions.  The subalgebra oracle checks closure under
+every operation before it looks each entry up, and the quotient oracle
+collects, per pair of blocks, the blocks of all their products.  The CEP
+oracle builds the subalgebra and reads its own congruence lattice.  The principal-congruence oracle
 searches all set partitions.  The valuation
 oracles list every valuation of a grid before filtering it.  The morphism
 checks at the end compose maps and test them against the tables; the
@@ -24,7 +26,7 @@ import heapq
 from itertools import combinations, count, product
 
 from relog.algebra import FiniteAlgebra, builtin_boolean2, power, subalgebra
-from relog.errors import SizeCapExceeded
+from relog.errors import NotACongruence, SizeCapExceeded, UnknownElement
 from relog.interp import FreeAlgebra
 from relog.logic import evaluate
 from relog.morph import Morphism, _search_maps
@@ -210,6 +212,52 @@ def is_closed(algebra, members):
             if table[x][y] not in ms:
                 return False
     return True
+
+
+def reference_subalgebra(algebra, members):
+    """The algebra induced on a closed subset of element indices, named
+    `<name>[<members joined by +>]`; UnknownElement if it is not closed."""
+    members = tuple(sorted(members))
+    if not is_closed(algebra, members):
+        raise UnknownElement(f"{members} is not closed in {algebra.name}")
+    pos = {x: i for i, x in enumerate(members)}
+    names = [algebra.elements[x] for x in members]
+
+    def take2(table):
+        return [[pos[table[x][y]] for y in members] for x in members]
+
+    return FiniteAlgebra(f"{algebra.name}[{'+'.join(names)}]", names, take2(algebra.meet),
+                         take2(algebra.join), take2(algebra.fusion),
+                         [pos[algebra.neg[x]] for x in members])
+
+
+def reference_quotient(algebra, blocks):
+    """The algebra of a partition's blocks, named `<name>%<blocks>`, each
+    element named by its block's members joined with '+'; NotACongruence if
+    some operation sends a pair of blocks to more than one block."""
+    blocks = sorted((tuple(sorted(block)) for block in blocks), key=lambda b: b[0])
+    block_of = {x: bi for bi, block in enumerate(blocks) for x in block}
+
+    def induced(table):
+        out = []
+        for bx in blocks:
+            out.append([])
+            for by in blocks:
+                results = {block_of[table[x][y]] for x in bx for y in by}
+                if len(results) != 1:
+                    raise NotACongruence(f"not well defined on {bx} and {by}")
+                out[-1].append(results.pop())
+        return out
+
+    tables = [induced(table) for table in (algebra.meet, algebra.join, algebra.fusion)]
+    neg = []
+    for block in blocks:
+        results = {block_of[algebra.neg[x]] for x in block}
+        if len(results) != 1:
+            raise NotACongruence(f"neg not well defined on {block}")
+        neg.append(results.pop())
+    names = ["+".join(algebra.elements[x] for x in block) for block in blocks]
+    return FiniteAlgebra(f"{algebra.name}%{len(blocks)}", names, *tables, neg)
 
 
 def powerset_subuniverses(algebra):
