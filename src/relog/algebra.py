@@ -571,9 +571,10 @@ def _check_indices(algebra, indices):
 
 def subalgebra(algebra, members):
     """The algebra induced on a closed subset of element indices,
-    `<name>[<members joined by +>]`, by `_induced`.  An index out of range,
-    or a subset not closed, raises UnknownElement, naming what leaves it."""
-    members = sorted(members)
+    `<name>[<members joined by +>]`, by `_induced`; a repeated index counts
+    once.  An index out of range, or a subset not closed, raises
+    UnknownElement, naming what leaves it."""
+    members = sorted(set(members))
     _check_indices(algebra, members)
     return _induced(algebra, [(x,) for x in members],
                     f"{algebra.name}[{'+'.join(algebra.names(members))}]")
@@ -609,13 +610,18 @@ def _induced(algebra, blocks, name):
             if len({at(algebra.neg[x]) for x in block}) > 1:
                 raise NotACongruence(f"neg not well defined on block {algebra.names(block)}")
     except KeyError:
-        escapes = chain((f"under neg at {algebra.elements[x]}"
-                         for x in union if algebra.neg[x] not in block_of),
-                        (f"at {algebra.elements[x]},{algebra.elements[y]}"
-                         for x in union for y in union
-                         if any(t[x][y] not in block_of for t, _, _ in binary)))
-        raise UnknownElement(f"subset not closed {next(escapes)}") from None
+        raise _not_closed(algebra, union) from None
     return FiniteAlgebra(name, ["+".join(algebra.names(b)) for b in blocks], *tables, neg)
+
+
+def _not_closed(algebra, members):
+    """UnknownElement naming the first escape from the sorted ids `members`
+    that are not closed: a negation, else a product."""
+    inside, names = set(members), algebra.elements
+    escapes = chain((f"under neg at {names[x]}" for x in members if algebra.neg[x] not in inside),
+                    (f"at {names[x]},{names[y]}" for x in members for y in members
+                     if any(t[x][y] not in inside for t, _, _ in algebra.binary_tables)))
+    return UnknownElement(f"subset not closed {next(escapes)}")
 
 
 def _getter(indices):

@@ -21,6 +21,7 @@ from .algebra import (
     subalgebra,
     validate_relevant_algebra,
 )
+from .amalgam import Span, all_spans, amalgamate_span, is_extensible
 from .errors import InterpolantNotFound, RelogError, UsageError
 from .interp import (
     DEFAULT_COORDINATE_CAP,
@@ -31,16 +32,7 @@ from .interp import (
     vsp_scan,
 )
 from .logic import parse_formula, parse_premises, entails
-from .morph import (
-    Span,
-    all_spans,
-    amalgamate_span,
-    automorphisms,
-    embeddings,
-    homomorphisms,
-    is_extensible,
-    isomorphisms,
-)
+from .morph import automorphisms, embeddings, homomorphisms, isomorphisms
 from .reproduce import run_claims_suite
 from .subcon import (
     all_subuniverses,
@@ -252,7 +244,7 @@ def _cmd_amalgamate(args):
         spans = failures = 0
         for span in all_spans(generator):
             spans += 1
-            failures += not amalgamate_span(span, generator, args.mode).found
+            failures += amalgamate_span(span, generator, args.mode) is None
         return _report(
             "amalgamate", "found" if failures == 0 else "not-found",
             0 if failures == 0 else 1,
@@ -266,7 +258,7 @@ def _cmd_amalgamate(args):
         for text in (args.apex, args.left, args.right))
     left = _pick_embedding(apex, left_alg, _parse_pin(args.map_left))
     right = _pick_embedding(apex, right_alg, _parse_pin(args.map_right))
-    amalgam = amalgamate_span(Span(left, right), generator, args.mode).amalgam
+    amalgam = amalgamate_span(Span(left, right), generator, args.mode)
     if amalgam is None:
         return _report("amalgamate", "not-found", 1), [f"no amalgam in {variety}"]
     data = {

@@ -17,6 +17,7 @@ from .algebra import (
     subalgebra,
     validate_relevant_algebra,
 )
+from .amalgam import all_spans, amalgamate_span, is_extensible
 from .errors import CapExceeded, NoSharedVariables, NotEntailed, RelogError
 from .interp import maehara_interpolant, verify_interpolant, vsp_scan
 from .logic import (
@@ -30,7 +31,7 @@ from .logic import (
     theorem,
     verify_countermodel,
 )
-from .morph import all_spans, amalgamate_span, automorphisms, is_extensible
+from .morph import automorphisms
 from .subcon import (
     all_subuniverses,
     check_cep_class,
@@ -207,9 +208,9 @@ def _item_amalgamation():
     spans = failures = 0
     for span in all_spans(crystal):
         spans += 1
-        result = amalgamate_span(span, crystal, "AP")
-        if not (result.found and [h.target for h, _ in result.amalgam.family] == [crystal]
-                and result.amalgam.commutes()):
+        amalgam = amalgamate_span(span, crystal, "AP")
+        if not (amalgam is not None and [h.target for h, _ in amalgam.family] == [crystal]
+                and amalgam.commutes()):
             failures += 1
     return failures == 0, f"{spans} spans searched, {failures} without an amalgam in the generator"
 

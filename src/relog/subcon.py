@@ -32,9 +32,10 @@ from functools import cached_property
 from itertools import chain, combinations
 from operator import itemgetter
 
-from .algebra import (FiniteAlgebra, _check_indices, _induced, _partition_blocks, derived,
-                      quotient, subalgebra)
-from .errors import SizeCapExceeded, UnknownElement
+from .algebra import (FiniteAlgebra, _check_indices, _induced, _not_closed, _partition_blocks,
+                      derived, quotient, subalgebra)
+from .errors import SizeCapExceeded
+from .morph import _embeds
 
 DEFAULT_SUBUNIVERSE_CAP = 24
 DEFAULT_CONGRUENCE_CAP = 100
@@ -183,20 +184,26 @@ def _congruence(algebra, labels):
     return Congruence(algebra, _blocks(labels[:algebra.size]), check=False)
 
 
-def _carrier(algebra, members=None):
+def _carrier(algebra, members=None, cap=None):
     """(members, mask, rows) of a closed subset S, all of `algebra` by
     default: its elements in increasing order, its bitmask, and the rows of
     `_congruence_rows` keyed by element with only the positions y in S of
     each translation table, and neg.  They are S's rows in the subalgebra
     on S, in the ids of `algebra`.  An index out of range raises
     UnknownElement before any row is read, as does a subset whose rows
-    leave it, which is not closed."""
-    rows = _congruence_rows(algebra)
+    leave it, which is not closed, naming where it leaves.  Past `cap`
+    members, SizeCapExceeded names both sizes before any row is read."""
     n = algebra.size
     if members is None:
-        return range(n), (1 << n) - 1, rows
-    mask = _mask(algebra, members)
-    members = _members(mask)
+        members, mask = range(n), (1 << n) - 1
+    else:
+        mask = _mask(algebra, members)
+        members = _members(mask)
+    if cap is not None and len(members) > cap:
+        label = algebra.name if len(members) == n else \
+            f"a {len(members)}-element subalgebra of {algebra.name}"
+        raise SizeCapExceeded(f"congruence lattice of {label} ({n} elements) exceeds cap {cap}")
+    rows = _congruence_rows(algebra)
     if len(members) == n:
         return members, mask, rows
     width = len(rows[0]) - 1
@@ -206,8 +213,7 @@ def _carrier(algebra, members=None):
     for x in members:
         row = sliced[x] = bytes(take(rows[x]))
         if row.translate(None, inside):
-            raise UnknownElement(f"subset not closed at a product or negation of "
-                                 f"{algebra.elements[x]}")
+            raise _not_closed(algebra, members)
     return members, mask, sliced
 
 
@@ -358,12 +364,7 @@ def _congruence_blocks(algebra, members=None):
     is built: each label table found is closed on S's rows with every seed
     pair it does not yet relate.  Past DEFAULT_CONGRUENCE_CAP members, or
     256 elements of `algebra`, SizeCapExceeded."""
-    carrier = members, _, rows = _carrier(algebra, members)
-    if len(members) > DEFAULT_CONGRUENCE_CAP:
-        raise SizeCapExceeded(
-            f"congruence lattice of {algebra.name}[{'+'.join(algebra.names(members))}] "
-            f"({len(members)} elements) exceeds cap {DEFAULT_CONGRUENCE_CAP}"
-        )
+    carrier = members, _, rows = _carrier(algebra, members, DEFAULT_CONGRUENCE_CAP)
     seeds = _principal_seeds(algebra, carrier)
     found = {_IDENTITY_LABELS, *seeds}
     frontier = list(seeds)
@@ -402,13 +403,8 @@ def congruence_lattice(algebra):
     such order, and all pairs are the generators.  Only one cover of each
     perspectivity class is closed, and the generators are deduplicated by
     their label tables, keeping one seed pair each.  This is
-    `_congruence_blocks` on all the elements.
+    `_congruence_blocks` on all the elements, and refused past its cap.
     """
-    if algebra.size > DEFAULT_CONGRUENCE_CAP:
-        raise SizeCapExceeded(
-            f"congruence lattice of {algebra.name} ({algebra.size} elements) "
-            f"exceeds cap {DEFAULT_CONGRUENCE_CAP}"
-        )
     return [Congruence(algebra, blocks, check=False)
             for blocks in _congruence_blocks(algebra)[1]]
 
@@ -627,8 +623,6 @@ def check_cep_pair(algebra, members, big_lattice=None):
 def hs_class(algebra):
     """All nontrivial quotients of all subalgebras, deduplicated up to
     isomorphism.  Each S/θ is induced straight from θ's blocks in A's ids."""
-    from .morph import isomorphisms  # deferred: morph builds on this module
-
     representatives = []
     for members in all_subuniverses(algebra):
         if not members:
@@ -638,9 +632,7 @@ def hs_class(algebra):
         for blocks in _congruence_blocks(algebra, members)[1][:-1]:
             q = _induced(algebra, [tuple(members[p] for p in block) for block in blocks],
                          f"{prefix}{len(blocks)}")
-            if not any(
-                q.size == r.size and isomorphisms(q, r) for r in representatives
-            ):
+            if not any(q.size == r.size and _embeds(q, r) for r in representatives):
                 representatives.append(q)
     return sorted(representatives, key=lambda a: (a.size, a.name))
 

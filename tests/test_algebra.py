@@ -471,6 +471,8 @@ def test_subalgebra_construction():
     chain = subalgebra(C, (BOT, T, F, TOP))
     assert chain.elements == ("bot", "t", "f", "top")
     assert all(r.holds for r in validate_relevant_algebra(chain))
+    # a member list is a set: a repeated index counts once, in name and elements
+    assert subalgebra(C, (TOP, BOT, TOP)).name == "crystal[bot+top]"
     # neg swaps t and f, and t meet f = t, but f fusion f = top is missing
     with pytest.raises(UnknownElement, match="^subset not closed at f,f$"):
         subalgebra(C, (T, F))

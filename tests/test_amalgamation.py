@@ -5,10 +5,11 @@ arms jointly injective on B, and on C in AP mode."""
 
 import pytest
 
-from relog import morph, reproduce
+from relog import amalgam, reproduce
 from relog.algebra import builtin, builtin_crystal, product, subalgebra
+from relog.amalgam import Span, all_spans, amalgamate_span
 from relog.errors import RelogError, SizeCapExceeded
-from relog.morph import Morphism, Span, all_spans, amalgamate_span
+from relog.morph import Morphism
 from relog.reproduce import _item_amalgamation
 from tests_oracle_helper import (
     NOT_A_LATTICE,
@@ -35,13 +36,13 @@ def test_exact_decision_finds_every_amalgam_the_power_search_finds(name, bound, 
         result = amalgamate_span(span, generator, "AP")
         if expected is None:
             missed.append(span)
-            assert not result.found
+            assert result is None
             continue
-        assert result.found
-        assert_family_is_an_amalgam(span, result.amalgam.family, "AP")
+        assert result is not None
+        assert_family_is_an_amalgam(span, result.family, "AP")
         if expected[0].target == generator:
             # an amalgam in the generator comes first, the same one
-            assert result.amalgam.family == (expected,)
+            assert result.family == (expected,)
     assert len(missed) == misses
 
 
@@ -53,7 +54,7 @@ def test_belnap_m_square_is_past_the_power_search_cap():
                 if reference_amalgam_in_powers(s, generator, "AP", 1) is None)
     with pytest.raises(SizeCapExceeded):
         reference_amalgam_in_powers(span, generator, "AP", 2)
-    assert not amalgamate_span(span, generator, "AP").found
+    assert amalgamate_span(span, generator, "AP") is None
 
 
 def test_crystal_times_boolean2_spans_amalgamate_through_families():
@@ -61,10 +62,10 @@ def test_crystal_times_boolean2_spans_amalgamate_through_families():
     sizes = []
     for span in all_spans(generator):
         result = amalgamate_span(span, generator, "AP")
-        assert result.found
-        family = result.amalgam.family
+        assert result is not None
+        family = result.family
         assert_family_is_an_amalgam(span, family, "AP")
-        assert result.amalgam.commutes()
+        assert result.commutes()
         in_generator = family[0][0].target == generator
         assert in_generator == (reference_amalgam_in_powers(span, generator) is not None)
         sizes.append(1 if in_generator else -len(family))
@@ -84,8 +85,8 @@ def test_tip_span_with_a_collapsing_left_leg_amalgamates_through_a_family():
     span = Span(collapse, Morphism(square, chain, (0, 1, 4, 5)))
     assert reference_amalgam_in_powers(span, generator, "TIP", 1) is None
     result = amalgamate_span(span, generator, "TIP")
-    assert result.found
-    family = result.amalgam.family
+    assert result is not None
+    family = result.family
     assert len(family) == 2
     assert_family_is_an_amalgam(span, family, "TIP")
     with pytest.raises(ValueError):
@@ -98,17 +99,17 @@ def test_crystal_spans_never_build_the_hs_class(monkeypatch):
 
     fresh = renamed(builtin_crystal(), "crystal")
     monkeypatch.setattr(reproduce, "builtin_crystal", lambda: fresh)
-    monkeypatch.setattr(morph, "hs_class", refuse)
+    monkeypatch.setattr(amalgam, "hs_class", refuse)
     assert _item_amalgamation() == (
         True, "173 spans searched, 0 without an amalgam in the generator")
 
 
 def test_a_sweep_builds_the_targets_once(monkeypatch):
     calls = []
-    real = morph.hs_class
-    monkeypatch.setattr(morph, "hs_class", lambda a: calls.append(a) or real(a))
+    real = amalgam.hs_class
+    monkeypatch.setattr(amalgam, "hs_class", lambda a: calls.append(a) or real(a))
     generator = renamed(builtin("belnap-m"), "belnap-m")
-    misses = sum(not amalgamate_span(s, generator, "AP").found for s in all_spans(generator))
+    misses = sum(amalgamate_span(s, generator, "AP") is None for s in all_spans(generator))
     assert (misses, calls) == (216, [generator])
 
 
@@ -116,7 +117,7 @@ def test_generator_off_a_lattice_is_refused_before_any_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("searched")
 
-    monkeypatch.setattr(morph, "_search_maps", refuse)
+    monkeypatch.setattr(amalgam, "_search_maps", refuse)
     identity = identity_morphism(NOT_A_LATTICE)
     with pytest.raises(RelogError, match="not a lattice"):
         amalgamate_span(Span(identity, identity), NOT_A_LATTICE, "AP")
@@ -128,20 +129,20 @@ def test_trivial_span_amalgamates_in_the_empty_product():
     one = subalgebra(builtin_crystal(), (builtin_crystal().el("a"),))
     identity = identity_morphism(one)
     result = amalgamate_span(Span(identity, identity), builtin("boolean2"), "AP")
-    assert result.found
-    assert result.amalgam.family == ()
-    assert result.amalgam.commutes()
+    assert result is not None
+    assert result.family == ()
+    assert result.commutes()
 
 
 def test_targets_are_the_maximal_si_members_of_the_hs_class():
     # crystal x boolean2 is not SI; its SI quotients are crystal and its
     # subalgebras, and all of them embed in crystal
     generator = _crystal_times_boolean2()
-    assert [(d.size, morph.is_fsi(d)) for d in morph._si_targets(generator)] \
+    assert [(d.size, amalgam.is_fsi(d)) for d in amalgam._si_targets(generator)] \
         == [(6, True)]
     # belnap-m's 3-element chain quotient embeds in no 8-element member
     belnap = builtin("belnap-m")
-    assert [d.size for d in morph._si_targets(belnap)] == [3, 8]
+    assert [d.size for d in amalgam._si_targets(belnap)] == [3, 8]
 
 
 def test_targets_are_named_after_their_own_generator():
@@ -151,16 +152,16 @@ def test_targets_are_named_after_their_own_generator():
     twin = renamed(generator, "twin")
     assert twin == generator
     for algebra in (generator, twin):
-        assert all(d.name.startswith(algebra.name + "[") for d in morph._si_targets(algebra))
+        assert all(d.name.startswith(algebra.name + "[") for d in amalgam._si_targets(algebra))
         span = next(s for s in all_spans(algebra)
-                    if amalgamate_span(s, algebra, "AP").amalgam.family[0][0].target != algebra)
-        family = amalgamate_span(span, algebra, "AP").amalgam.family
+                    if amalgamate_span(s, algebra, "AP").family[0][0].target != algebra)
+        family = amalgamate_span(span, algebra, "AP").family
         assert all(h.target.name.startswith(algebra.name + "[") for h, _ in family)
 
 
 def test_a_family_that_disagrees_on_the_apex_does_not_commute():
     generator = builtin_crystal()
     span = next(all_spans(generator))
-    (h, k), = amalgamate_span(span, generator, "AP").amalgam.family
+    (h, k), = amalgamate_span(span, generator, "AP").family
     moved = Morphism(k.source, k.target, tuple(k.target.neg[v] for v in k.mapping))
-    assert not morph.Amalgam(span, ((h, moved),)).commutes()
+    assert not amalgam.Amalgam(span, ((h, moved),)).commutes()

@@ -208,6 +208,14 @@ def test_amalgamate_single_span(capsys):
     assert "amalgam found in crystal" in out
 
 
+def test_amalgamate_with_a_repeated_member_reads_the_list_as_a_set(capsys):
+    argv = ["amalgamate", "--algebra", "crystal", "--left", "bot,a,top", "--right", "bot,b,top"]
+    assert run_cli(capsys, *argv, "--apex", "bot,top,top") \
+        == run_cli(capsys, *argv, "--apex", "bot,top")
+    code, report = run_json(capsys, *argv, "--apex", "bot,top,top")
+    assert (code, report["data"]["target"]) == (0, "crystal")
+
+
 def test_amalgamate_warning_is_in_json_data_only_when_present(capsys, tmp_path):
     """boolean2^2 passes the checklist: no warning, in either format.  The
     same square with fusion replaced by join fails residuation: its

@@ -476,7 +476,7 @@ def test_cep_witness_builds_theta_on_first_read():
     ((0, 99), "99 is not an element index"),
     ((-1,), "-1 is not an element index"),
     ((C.el("bot"), -1), "-1 is not an element index"),
-    ((C.el("a"), C.el("b")), "not closed"),
+    ((C.el("a"), C.el("b")), "^subset not closed at a,b$"),
 ], ids=["out-of-range", "out-of-range-with-member", "negative", "negative-with-member",
         "not-closed"])
 @pytest.mark.parametrize("check", [check_cep_pair, subalgebra], ids=["cep", "subalgebra"])
@@ -491,8 +491,31 @@ def test_bad_members_raise_unknown_element(check, members, message):
 def test_a_subset_not_closed_under_neg_is_refused():
     square = power(C, 2)
     # (t, bot) alone: its negation (f, top) lies outside
-    with pytest.raises(UnknownElement, match="not closed at a product or negation of t.bot"):
+    with pytest.raises(UnknownElement, match="^subset not closed under neg at t.bot$"):
         check_cep_pair(square, (square.el("t.bot"),))
+
+
+@pytest.mark.parametrize("check", [check_cep_pair, subalgebra, generated_subuniverse],
+                         ids=["cep", "subalgebra", "generated"])
+def test_a_repeated_member_counts_once(check):
+    bot, top = C.el("bot"), C.el("top")
+    assert check(C, (bot, top, top)) == check(C, (top, bot))
+
+
+def test_con_s_cap_names_the_sizes_not_the_members():
+    cube = power(C, 3)
+    with pytest.raises(SizeCapExceeded) as refused:
+        congruence_lattice(cube)
+    assert str(refused.value) == "congruence lattice of crystal^3 (216 elements) exceeds cap 100"
+    # {bot, a, top} x crystal x crystal, a 108-element subalgebra
+    outer = {C.el(e) for e in ("bot", "a", "top")}
+    members = [x for x in range(cube.size) if x // 36 in outer]
+    with pytest.raises(SizeCapExceeded) as refused:
+        check_cep_pair(cube, members)
+    message = str(refused.value)
+    assert message == ("congruence lattice of a 108-element subalgebra of crystal^3 "
+                       "(216 elements) exceeds cap 100")
+    assert len(message) < 200
 
 
 def test_cep_class_over_hs_of_crystal_holds():
